@@ -124,6 +124,10 @@ _CASTS = {
 }
 
 
+# Config-file keys match knob names case-insensitively (n = N, X_MAX = x_max).
+_KNOB_BY_LOWER = {key.lower(): key for key in _CASTS}
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -132,8 +136,17 @@ def _read_config_file(path: str) -> dict[str, str]:
             if not line or line.startswith("#") or "=" not in line:
                 continue
             key, _, value = line.partition("=")
-            values[key.strip().lower()] = value.strip()
+            key = key.strip()
+            values[_KNOB_BY_LOWER.get(key.lower(), key)] = value.strip()
     return values
+
+
+def _cast(cast: Any, text: str, source: str) -> Any:
+    """Parse an env or config-file value; a bad one is a usage error naming its source."""
+    try:
+        return cast(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"bad value for {source}: {exc}") from None
 
 
 def _resolve(args: argparse.Namespace, file_cfg: dict[str, str]) -> RunConfig:
@@ -141,11 +154,12 @@ def _resolve(args: argparse.Namespace, file_cfg: dict[str, str]) -> RunConfig:
     for key, cast in _CASTS.items():
         value = getattr(args, key, None)
         if value is None:
-            env = os.environ.get(ENV_PREFIX + key.upper())
+            env_name = ENV_PREFIX + key.upper()
+            env = os.environ.get(env_name)
             if env is not None:
-                value = cast(env)
+                value = _cast(cast, env, env_name)
             elif key in file_cfg:
-                value = cast(file_cfg[key])
+                value = _cast(cast, file_cfg[key], f"config key {key}")
             else:
                 value = _DEFAULTS[key]
         resolved[key] = value

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -254,6 +255,44 @@ def test_config_file_lowest(tmp_path, monkeypatch):
     payload = json.loads(out)
     assert payload["X"] == "10"  # env beats file
     assert payload["x_max"] == 2  # file beats default
+
+
+@pytest.fixture
+def no_env(monkeypatch):
+    for name in [k for k in os.environ if k.startswith("TAUSURVEY_")]:
+        monkeypatch.delenv(name)
+
+
+def test_config_file_keys_any_case(tmp_path, no_env):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N=300\nX=1000\nC=2\nx_max=2\n")
+    code, out, _ = run(["report", "--config", str(cfg)])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["N"], payload["X"], payload["x_max"]) == (300, "1000", 2)
+    code, out, _ = run(["predict", "--config", str(cfg)])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["X"], payload["C"]) == (1000.0, 2.0)
+
+
+@pytest.mark.parametrize("name", ["TAUSURVEY_X", "TAUSURVEY_N"])
+def test_bad_env_value_is_usage_error(name, monkeypatch):
+    argv = ["survey", "--N", "30"] if name == "TAUSURVEY_X" else ["survey", "--X", "100"]
+    code, out, err = run(argv, env={name: "abc"}, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    first = err.splitlines()[0]
+    assert first.startswith("usage error:") and name in first and "abc" in first
+    assert "Traceback" not in err
+
+
+def test_bad_config_value_is_usage_error(tmp_path, no_env):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("x=1.5\n")
+    code, _, err = run(["count", "--kind", "deg11", "--x-max", "2", "--config", str(cfg)])
+    assert code == 2
+    assert "config key X" in err.splitlines()[0]
 
 
 def test_scientific_notation_x():

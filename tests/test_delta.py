@@ -1,12 +1,17 @@
+import hashlib
 import io
 import json
 import math
+import random
+from decimal import Decimal, Inexact, Rounded
 
 import pytest
 
 from tausurvey.delta import (
+    _EXACT,
     SparseSeries,
     TauTable,
+    _square_truncated,
     delta_coefficients,
     jacobi_series,
     tau_parity,
@@ -52,6 +57,65 @@ def test_first_coefficients_match_brute_force():
 def test_matches_naive_product_oracle():
     table = delta_coefficients(500)
     assert list(table.coeffs) == naive_delta_coefficients(500)
+
+
+def test_frozen_checksum_10k(table10k):
+    # frozen from an independent base-2^b Kronecker implementation
+    digest = hashlib.sha256("\n".join(map(str, table10k.coeffs)).encode()).hexdigest()
+    assert digest == "d6180a22882a91fa71063c31d15d30e38617cdef173ec7c1e77a1b96be8dc032"
+    assert table10k.tau(10_000) == -482606811957501440000
+
+
+def schoolbook_square(coeffs, max_exp):
+    out = [0] * (max_exp + 1)
+    for i, a in enumerate(coeffs):
+        if i > max_exp:
+            break
+        for j, b in enumerate(coeffs[: max_exp + 1 - i]):
+            out[i + j] += a * b
+    return out
+
+
+SQUARE_CASES = {
+    "constant": [7],
+    "negative constant": [-7],
+    "one nonzero term": [0, 0, 0, -123456789, 0, 0],
+    "all zeros": [0, 0, 0, 0],
+    "leading and trailing zeros": [0, 0, 5, -3, 0, 9, 0, 0, 0],
+    "all negative": [-(10**40), -1, -(10**39) - 7, -2, -(10**40)],
+    "alternating extremes": [(-1) ** i * 10**40 for i in range(12)],
+    "slot boundary": [10**40 - 1, -(10**40) + 1, 10**40 - 1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_CASES))
+def test_square_truncated_edge_cases(name):
+    coeffs = SQUARE_CASES[name]
+    for max_exp in range(len(coeffs)):  # below and equal to len - 1
+        assert _square_truncated(coeffs, max_exp) == schoolbook_square(coeffs, max_exp), max_exp
+
+
+def test_square_truncated_matches_schoolbook_random():
+    rng = random.Random(20090101)
+    for trial in range(60):
+        bound = 1 << rng.choice((1, 8, 64, 133))  # 2^133 > 10^40
+        coeffs = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 40))]
+        if trial % 3 == 0:
+            coeffs = [0] * rng.randint(0, 3) + coeffs + [0] * rng.randint(0, 3)
+        if trial % 5 == 0:
+            coeffs = [-abs(c) for c in coeffs]
+        for max_exp in {len(coeffs) - 1, rng.randrange(len(coeffs))}:
+            got = _square_truncated(coeffs, max_exp)
+            assert got == schoolbook_square(coeffs, max_exp), (trial, max_exp)
+
+
+def test_exact_context_traps_rounding():
+    assert _EXACT.traps[Inexact] and _EXACT.traps[Rounded]
+    narrow = _EXACT.copy()
+    narrow.prec = 5  # same traps, but a product that no longer fits
+    assert narrow.multiply(Decimal(1234), Decimal(7)) == 8638
+    with pytest.raises((Inexact, Rounded)):
+        narrow.multiply(Decimal(123456), Decimal(7))
 
 
 def test_table_indexing():
