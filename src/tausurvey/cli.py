@@ -5,8 +5,9 @@ TAUSURVEY_ prefix (flag --x-max becomes TAUSURVEY_X_MAX; flags win), or
 through a key=value config file passed with --config (lowest precedence).
 Big integers are always emitted as decimal strings, floats are rounded to 12
 significant digits before serialization, and record streams are canonically
-sorted, so identical configurations reproduce identical bytes regardless of
-the worker count.
+sorted, so identical configurations reproduce identical bytes.  The
+--workers knob is accepted and must be positive, but every subcommand runs
+serially, so it never changes the output.
 
 Exit codes: 0 success, 1 invariant violation found, 2 usage error,
 3 resource limit exceeded.
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -50,15 +52,38 @@ _DEFAULTS = {
 }
 
 
+# CPython's default int -> str limit: a longer X could not be printed anyway.
+_BIG_INT_MAX_DIGITS = 4300
+
+
 def _big_int(text: str) -> int:
-    """Integer parser that accepts scientific notation exactly (1e26)."""
+    """Integer parser that accepts scientific notation exactly (1e26).
+
+    The digit count is checked on the Decimal, before int() would build a
+    huge integer.
+    """
     try:
         value = Decimal(text)
     except InvalidOperation as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value != value.to_integral_value():
+    if not value.is_finite() or value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value.adjusted() >= _BIG_INT_MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has more than {_BIG_INT_MAX_DIGITS} digits"
+        )
     return int(value)
+
+
+def _finite_float(text: str) -> float:
+    """Float parser that rejects nan and infinities (1e5000 overflows to inf)."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 @dataclass
@@ -113,8 +138,8 @@ _CASTS = {
     "x_max": int,
     "m_max": int,
     "bins": int,
-    "epsilon": float,
-    "C": float,
+    "epsilon": _finite_float,
+    "C": _finite_float,
     "format": str,
     "seed": int,
     "workers": int,
@@ -285,7 +310,6 @@ def _cmd_near_points(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> 
         cfg.X,
         cfg.x_min,
         cfg.x_max,
-        workers=cfg.workers,
         ceiling=cfg.scan_ceiling,
     )
     emit(_near_point_records(points), ["kind", "x", "y", "k"], cfg.format, out)
@@ -297,7 +321,6 @@ def _cmd_count(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
         curves.CurveKind(args.kind),
         cfg.X,
         cfg.x_max,
-        workers=cfg.workers,
         ceiling=cfg.scan_ceiling,
     )
     record = {
@@ -319,7 +342,6 @@ def _cmd_abc(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
         cfg.X,
         cfg.x_min,
         cfg.x_max,
-        workers=cfg.workers,
         ceiling=cfg.scan_ceiling,
     )
     fields = ["a", "b", "c", "d", "rad", "rad_complete", "quality"]
@@ -391,7 +413,13 @@ def _cmd_sato_tate(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> in
 
 
 def _cmd_predict(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
-    pred = satotate.heuristic_prediction(float(cfg.X), cfg.m_max, cfg.C)
+    try:
+        X = float(cfg.X)
+    except OverflowError:
+        raise ValueError("X is too large for a float estimate") from None
+    pred = satotate.heuristic_prediction(X, cfg.m_max, cfg.C)
+    if not math.isfinite(pred.total):
+        raise ValueError("the estimate overflows a float; lower X or C")
     if cfg.format == "csv":
         records = [{"m": m, "estimate": _f(v)} for m, v in pred.layers]
         emit(records, ["m", "estimate"], "csv", out)
@@ -414,7 +442,7 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     parity_bad = [
         n for n, t in table.iter_records() if (t % 2 == 1) != tau_parity(n)
     ]
-    reduction = survey_mod.reduction_report(cfg.X, table, cfg.x_max, workers=cfg.workers)
+    reduction = survey_mod.reduction_report(cfg.X, table, cfg.x_max)
     terms = {k: _f(v) for k, v in reduction.survey.terms.items()}
     terms["e2_windowed"] = reduction.e2_windowed
     terms["e4_windowed"] = reduction.e4_windowed
@@ -473,7 +501,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"))
     sub.add_argument("--config", help="key=value config file (lowest precedence)")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int)
+    sub.add_argument("--workers", type=int, help="accepted for compatibility; runs are serial")
     sub.add_argument("--series-max", dest="series_max", type=int)
     sub.add_argument("--scan-ceiling", dest="scan_ceiling", type=int)
 
@@ -518,8 +546,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--x-min", dest="x_min", type=int)
         sub.add_argument("--x-max", dest="x_max", type=int)
         if name == "abc":
-            sub.add_argument("--epsilon", type=float)
-            sub.add_argument("--C", type=float)
+            sub.add_argument("--epsilon", type=_finite_float)
+            sub.add_argument("--C", type=_finite_float)
             sub.add_argument("--budget", type=int)
         _add_common(sub)
 
@@ -528,13 +556,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p-min", dest="p_min", type=int, default=2)
     sub.add_argument("--p-max", dest="p_max", type=int)
     sub.add_argument("--u-layer", dest="u_layer", type=int)
-    sub.add_argument("--u-threshold", dest="u_threshold", type=float)
+    sub.add_argument("--u-threshold", dest="u_threshold", type=_finite_float)
     _add_common(sub)
 
     sub = subs.add_parser("predict", help="layered heuristic estimates for S(X)")
-    sub.add_argument("--X", type=float, help="real-valued bound, must exceed e")
+    sub.add_argument("--X", type=_finite_float, help="real-valued bound, must exceed e")
     sub.add_argument("--m-max", dest="m_max", type=int)
-    sub.add_argument("--C", type=float)
+    sub.add_argument("--C", type=_finite_float)
     _add_common(sub)
 
     sub = subs.add_parser("report", help="verification suites plus reduction terms")

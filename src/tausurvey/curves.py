@@ -6,17 +6,18 @@ defect k = y^2 - central is nonzero and |k| stays inside the band.  Prime
 defects are exactly the parameters of the degree-11 twists with an integer
 point; defects 4*prime play that role for the degree-22 family.
 
-Enumeration per x walks the integer square roots of the admissible band, so
-each abscissa costs O(band / x^(11/2)) candidate checks; past the sub-unit
-cutoff that is O(1) per x.  Counting splits the same set into the three
-regimes (small / mid / sub-unit) whose boundaries are evaluated with exact
-integer power comparisons, never floats.
+Both paths start from the same per-x band bounds y_lo <= y <= y_hi, found
+with math.isqrt.  Enumeration walks that run, so each abscissa costs
+O(band / x^(11/2)) candidate checks; past the sub-unit cutoff that is O(1)
+per x.  Counting never enumerates: the size of the run gives the count at x
+in O(1) isqrt arithmetic, and it is split into the three regimes (small /
+mid / sub-unit) whose boundaries are evaluated with exact integer power
+comparisons, never floats.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -78,8 +79,12 @@ class RegimeReport:
         return self.small + self.mid + self.subunit
 
 
-def _scan_x(kind: CurveKind, X: int, x: int, ceiling: int) -> list[NearPoint]:
-    """All near-points at one abscissa, y ascending with -y before +y."""
+def _y_band(kind: CurveKind, X: int, x: int, ceiling: int) -> tuple[int, int, int]:
+    """(central, y_lo, y_hi): the y >= 0 whose square lies in the band at x.
+
+    Raises ResourceLimitError when the run of candidates exceeds the ceiling,
+    so scanning and counting refuse the same abscissa.
+    """
     central = kind.central(x)
     band = kind.band(X)
     lo = central - band
@@ -89,29 +94,22 @@ def _scan_x(kind: CurveKind, X: int, x: int, ceiling: int) -> list[NearPoint]:
         raise ResourceLimitError(
             f"x={x}: {y_hi - y_lo + 1} y-candidates exceed the scan ceiling {ceiling}"
         )
-    points = []
-    for y in range(y_lo, y_hi + 1):
-        k = y * y - central
-        if k == 0:
-            continue
-        if y:
-            points.append(NearPoint(kind, x, -y, k))
-        points.append(NearPoint(kind, x, y, k))
+    return central, y_lo, y_hi
+
+
+def _scan_x(kind: CurveKind, X: int, x: int, ceiling: int) -> list[NearPoint]:
+    """All near-points at one abscissa in canonical order: y ascending."""
+    central, y_lo, y_hi = _y_band(kind, X, x, ceiling)
+    positive = [
+        (y, k)
+        for y in range(max(y_lo, 1), y_hi + 1)
+        if (k := y * y - central)
+    ]
+    points = [NearPoint(kind, x, -y, k) for y, k in reversed(positive)]
+    if y_lo == 0:
+        points.append(NearPoint(kind, x, 0, -central))
+    points.extend(NearPoint(kind, x, y, k) for y, k in positive)
     return points
-
-
-def _scan_range(
-    kind: CurveKind, X: int, x_min: int, x_max: int, ceiling: int
-) -> list[NearPoint]:
-    points = []
-    for x in range(x_min, x_max + 1):
-        points.extend(_scan_x(kind, X, x, ceiling))
-    return points
-
-
-def _scan_shard(args: tuple[str, int, int, int, int]) -> list[NearPoint]:
-    tag, X, lo, hi, ceiling = args
-    return _scan_range(CurveKind(tag), X, lo, hi, ceiling)
 
 
 def near_points(
@@ -120,36 +118,19 @@ def near_points(
     x_min: int,
     x_max: int,
     *,
-    workers: int = 1,
     ceiling: int = FULL_SCAN_CEILING,
 ) -> list[NearPoint]:
     """All near-points with x in [x_min, x_max], canonically sorted by (x, y).
 
-    Both signs of y are distinct points; y = 0 appears once.  With
-    workers > 1 the x-range is split into contiguous shards computed in
-    separate processes; the merged, sorted result is identical to the serial
-    one by construction.
+    Both signs of y are distinct points; y = 0 appears once.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
     if x_min < 1:
         raise ValueError("x_min must be >= 1")
-    if x_min > x_max:
-        return []
-    span = x_max - x_min + 1
-    if workers <= 1 or span < 2 * workers:
-        points = _scan_range(kind, X, x_min, x_max, ceiling)
-    else:
-        step = -(-span // workers)
-        shards = [
-            (kind.value, X, lo, min(lo + step - 1, x_max), ceiling)
-            for lo in range(x_min, x_max + 1, step)
-        ]
-        points = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_shard, shards):
-                points.extend(part)
-    points.sort(key=lambda pt: (pt.x, pt.y))
+    points = []
+    for x in range(x_min, x_max + 1):
+        points.extend(_scan_x(kind, X, x, ceiling))
     return points
 
 
@@ -158,22 +139,30 @@ def exact_count(
     X: int,
     x_max: int,
     *,
-    workers: int = 1,
     ceiling: int = FULL_SCAN_CEILING,
 ) -> RegimeReport:
     """Near-point count over 1 <= x <= x_max, dissected into the three regimes.
 
-    The dissection is bookkeeping only: the total always equals the plain
-    count of near_points on the same domain.
+    Nothing is enumerated: each abscissa contributes 2 per y in [y_lo, y_hi]
+    (one per sign), less one when y = 0 is among them and less two when the
+    central value is an exact square (its root has defect 0).  The total
+    equals len(near_points(kind, X, 1, x_max)); the dissection is
+    bookkeeping only.
     """
+    if X < 1:
+        raise ValueError("X must be >= 1")
     counts = {"small": 0, "mid": 0, "subunit": 0}
-    for pt in near_points(kind, X, 1, x_max, workers=workers, ceiling=ceiling):
-        if kind.in_small_regime(pt.x, X):
-            counts["small"] += 1
-        elif kind.past_subunit_cutoff(pt.x, X):
-            counts["subunit"] += 1
+    for x in range(1, x_max + 1):
+        central, y_lo, y_hi = _y_band(kind, X, x, ceiling)
+        n = 2 * (y_hi - y_lo + 1) - (y_lo == 0)
+        if math.isqrt(central) ** 2 == central:
+            n -= 2
+        if kind.in_small_regime(x, X):
+            counts["small"] += n
+        elif kind.past_subunit_cutoff(x, X):
+            counts["subunit"] += n
         else:
-            counts["mid"] += 1
+            counts["mid"] += n
     return RegimeReport(kind, X, x_max, counts["small"], counts["mid"], counts["subunit"])
 
 
@@ -182,7 +171,6 @@ def window_count(
     X: int,
     x_max: int,
     *,
-    workers: int = 1,
     ceiling: int = FULL_SCAN_CEILING,
 ) -> int:
     """Near-points past the sub-unit cutoff, windowed to x <= x_max.
@@ -190,7 +178,7 @@ def window_count(
     The unbounded-x quantity this approximates cannot be enumerated on a
     finite machine, so the result is a lower bound for it.
     """
-    return exact_count(kind, X, x_max, workers=workers, ceiling=ceiling).subunit
+    return exact_count(kind, X, x_max, ceiling=ceiling).subunit
 
 
 def prime_parameters(
@@ -198,7 +186,6 @@ def prime_parameters(
     X: int,
     x_max: int,
     *,
-    workers: int = 1,
     ceiling: int = FULL_SCAN_CEILING,
 ) -> set[int]:
     """Primes ell <= X realized as twist parameters by some near-point.
@@ -207,7 +194,7 @@ def prime_parameters(
     divisible by 4 with prime quarter qualify.
     """
     params = set()
-    for pt in near_points(kind, X, 1, x_max, workers=workers, ceiling=ceiling):
+    for pt in near_points(kind, X, 1, x_max, ceiling=ceiling):
         mag = abs(pt.k)
         if kind is CurveKind.DEG22:
             if mag % 4:

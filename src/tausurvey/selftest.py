@@ -50,6 +50,19 @@ def naive_near_points(kind: CurveKind, X: int, x_min: int, x_max: int) -> list[N
     return points
 
 
+def naive_regime_counts(kind: CurveKind, X: int, x_max: int) -> tuple[int, int, int]:
+    """(small, mid, subunit) by classifying every oracle point on 1 <= x <= x_max."""
+    counts = [0, 0, 0]
+    for pt in naive_near_points(kind, X, 1, x_max):
+        if kind.in_small_regime(pt.x, X):
+            counts[0] += 1
+        elif kind.past_subunit_cutoff(pt.x, X):
+            counts[2] += 1
+        else:
+            counts[1] += 1
+    return tuple(counts)
+
+
 def run_self_test(stream: IO[str]) -> bool:
     """Run the reduced-scale suite, printing one PASS/FAIL line per check."""
     failures = 0
@@ -80,6 +93,11 @@ def run_self_test(stream: IO[str]) -> bool:
         )
         check(agree, f"near-point enumeration vs defect-scan oracle, {kind.value}")
     check(exact_count(CurveKind.DEG11, 10, 2).total == 5, "regime dissection total, deg11 X=10")
+    reports = [exact_count(kind, 1000, 16) for kind in CurveKind]
+    check(
+        all((r.small, r.mid, r.subunit) == naive_regime_counts(r.kind, 1000, 16) for r in reports),
+        "arithmetic regime counts vs defect-scan oracle, X=1000, x <= 16",
+    )
     check(abs(angle_cdf(math.pi) - 1.0) < 1e-12, "sin^2 measure normalization")
     stream.write(("self-test FAILED\n" if failures else "self-test OK\n"))
     return failures == 0

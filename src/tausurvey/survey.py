@@ -157,10 +157,10 @@ def omitted_values_check(table: TauTable) -> list[tuple[int, int]]:
     ]
 
 
-def reduction_report(X: int, table: TauTable, x_max: int, *, workers: int = 1) -> ReductionReport:
+def reduction_report(X: int, table: TauTable, x_max: int) -> ReductionReport:
     """Observed S(X) side by side with the analytic terms and the windowed
     near-point tail counts of both curve families."""
     base = survey(X, table)
-    e2 = curves.window_count(curves.CurveKind.DEG11, X, x_max, workers=workers)
-    e4 = curves.window_count(curves.CurveKind.DEG22, X, x_max, workers=workers)
+    e2 = curves.window_count(curves.CurveKind.DEG11, X, x_max)
+    e4 = curves.window_count(curves.CurveKind.DEG22, X, x_max)
     return ReductionReport(base, x_max, e2, e4)

@@ -1,10 +1,12 @@
+import argparse
 import io
 import json
 import os
+import tracemalloc
 
 import pytest
 
-from tausurvey.cli import dispatch
+from tausurvey.cli import _big_int, dispatch
 
 
 def run(argv, env=None, monkeypatch=None):
@@ -295,6 +297,86 @@ def test_bad_config_value_is_usage_error(tmp_path, no_env):
     assert "config key X" in err.splitlines()[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--C", "nan"],
+        ["predict", "--X", "inf"],
+        ["predict", "--X", "1e5000"],
+        ["abc", "--kind", "deg11", "--X", "100", "--x-max", "3", "--epsilon", "nan"],
+        ["sato-tate", "--N", "100", "--u-layer", "1", "--u-threshold", "nan"],
+    ],
+    ids=["predict-C", "predict-X-inf", "predict-X-overflow", "abc-epsilon", "u-threshold"],
+)
+def test_non_finite_float_flag_is_usage_error(argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "not a finite number" in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["TAUSURVEY_C", "TAUSURVEY_EPSILON"])
+def test_non_finite_float_env_is_usage_error(name, monkeypatch):
+    argv = ["abc", "--kind", "deg11", "--X", "100", "--x-max", "3"]
+    code, out, err = run(argv, env={name: "-inf"}, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: bad value for {name}: not a finite number")
+
+
+def test_predict_float_overflow_is_usage_error(monkeypatch):
+    code, out, err = run(["predict", "--X", "1e300", "--C", "1e300"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: the estimate overflows")
+    code, out, err = run(["predict"], env={"TAUSURVEY_X": "1e400"}, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: X is too large")
+
+
+def test_huge_x_rejected_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(argparse.ArgumentTypeError, match="more than 4300 digits"):
+            _big_int("1e1000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a billion-digit int would take about 415 MiB
+    with pytest.raises(argparse.ArgumentTypeError):
+        _big_int("1e4300")
+    assert _big_int("1e4299") == 10 ** 4299
+
+
+def test_huge_x_exits_2_from_flag_env_and_config(tmp_path, no_env, monkeypatch):
+    argv = ["survey", "--N", "30"]
+    code, out, err = run(argv + ["--X", "1e1000000000"])
+    assert (code, out) == (2, "")
+    assert "more than 4300 digits" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("X=1e1000000000\n")
+    code, out, err = run(argv + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: bad value for config key X")
+    code, out, err = run(argv, env={"TAUSURVEY_X": "1e1000000000"}, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: bad value for TAUSURVEY_X")
+
+
+@pytest.mark.parametrize("text", ["inf", "-Infinity", "nan", "sNaN"])
+def test_non_finite_integer_x_is_usage_error(text):
+    code, out, err = run(["survey", "--N", "30", f"--X={text}"])
+    assert (code, out) == (2, "")
+    assert "not an integer" in err
+
+
+def test_largest_accepted_x_reaches_the_scan():
+    # 1e4299 parses (4300 digits); the band at x = 1 then exceeds the ceiling
+    code, out, err = run(["count", "--kind", "deg11", "--X", "1e4299", "--x-max", "1"])
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: x=1:")
+
+
 def test_scientific_notation_x():
     code, out, _ = run(["count", "--kind", "deg11", "--X", "1e2", "--x-max", "3"])
     assert code == 0
@@ -335,3 +417,8 @@ def test_worker_count_does_not_change_bytes():
     assert runs[1][0] == runs[8][0] == 0
     assert runs[1][1] == runs[8][1]
     assert runs[1][1] != ""
+
+
+def test_worker_count_must_be_positive():
+    code, out, _ = run(["count", "--kind", "deg11", "--X", "10", "--x-max", "2", "--workers", "0"])
+    assert (code, out) == (2, "")

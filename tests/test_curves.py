@@ -9,7 +9,7 @@ from tausurvey.curves import (
     window_count,
 )
 from tausurvey.errors import ResourceLimitError
-from tausurvey.selftest import naive_near_points
+from tausurvey.selftest import naive_near_points, naive_regime_counts
 
 
 def as_tuples(points):
@@ -123,10 +123,42 @@ def test_scan_ceiling_error():
         near_points(CurveKind.DEG11, 10 ** 30, 1, 1, ceiling=10 ** 6)
 
 
-def test_worker_sharding_matches_serial():
-    serial = near_points(CurveKind.DEG11, 10 ** 4, 1, 24)
-    sharded = near_points(CurveKind.DEG11, 10 ** 4, 1, 24, workers=4)
-    assert serial == sharded
+@pytest.mark.parametrize("kind", list(CurveKind))
+@pytest.mark.parametrize("X", [1, 2, 3, 10, 99, 100, 1000, 4096])
+def test_exact_count_matches_oracle_by_regime(kind, X):
+    # x <= 16 covers square x (x^11 a perfect square), y_lo == 0 and the
+    # regime boundaries of every X listed
+    rep = exact_count(kind, X, 16)
+    assert (rep.small, rep.mid, rep.subunit) == naive_regime_counts(kind, X, 16)
+
+
+def test_exact_count_frozen_large_case():
+    # confirmed once against the point-by-point enumeration (30.2M points)
+    rep = exact_count(CurveKind.DEG11, 10 ** 12, 2000)
+    assert (rep.small, rep.mid, rep.subunit) == (26609494, 3630432, 66)
+
+
+def test_exact_count_scan_ceiling_error():
+    with pytest.raises(ResourceLimitError) as counted:
+        exact_count(CurveKind.DEG11, 10 ** 30, 3, ceiling=10 ** 6)
+    with pytest.raises(ResourceLimitError) as scanned:
+        near_points(CurveKind.DEG11, 10 ** 30, 1, 3, ceiling=10 ** 6)
+    assert str(counted.value) == str(scanned.value)
+    assert str(counted.value).startswith("x=1:")
+    # X = 10, x = 1: y in [0, 3] is four candidates, exactly at a ceiling of 4
+    assert exact_count(CurveKind.DEG11, 10, 1, ceiling=4).total == 5
+    assert len(near_points(CurveKind.DEG11, 10, 1, 1, ceiling=4)) == 5
+    with pytest.raises(ResourceLimitError):
+        exact_count(CurveKind.DEG11, 10, 1, ceiling=3)
+    with pytest.raises(ResourceLimitError):
+        near_points(CurveKind.DEG11, 10, 1, 1, ceiling=3)
+
+
+def test_exact_count_input_validation():
+    for X in (0, -5):
+        with pytest.raises(ValueError):
+            exact_count(CurveKind.DEG11, X, 2)
+    assert exact_count(CurveKind.DEG22, 10, 0).total == 0
 
 
 def test_near_point_is_plain_data():
