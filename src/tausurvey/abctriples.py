@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .curves import NearPoint
-from .primes import cached_primes, iroot, is_prime
+from .primes import cached_primes, factor_trial, iroot, is_prime
 
 TRIAL_LIMIT = 1_000_000
 DEFAULT_BUDGET = 200_000
@@ -100,7 +100,8 @@ def radical_budgeted(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> tup
         raise ValueError("n must be >= 1")
     if n == 1:
         return 1, True
-    found, cofactor = _trial_primes(n)
+    exponents, cofactor = factor_trial(n, TRIAL_LIMIT)
+    found = set(exponents)
     stubborn: set[int] = set()
     if cofactor > 1:
         rng = random.Random(seed)
@@ -126,22 +127,6 @@ def radical_budgeted(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> tup
     for m in stubborn:
         rad *= m
     return rad, not stubborn
-
-
-def _trial_primes(n: int) -> tuple[set[int], int]:
-    found: set[int] = set()
-    m = n
-    for p in cached_primes(min(TRIAL_LIMIT, math.isqrt(n) + 1)):
-        if p * p > m:
-            break
-        if m % p == 0:
-            found.add(p)
-            while m % p == 0:
-                m //= p
-    if m > 1 and m <= TRIAL_LIMIT:
-        found.add(m)
-        m = 1
-    return found, m
 
 
 def make_triple(a: int, b: int, *, budget: int = DEFAULT_BUDGET, seed: int = 0) -> AbcTriple:
@@ -177,11 +162,6 @@ def from_near_point(pt: NearPoint, *, budget: int = DEFAULT_BUDGET, seed: int = 
     if pt.k == 0:
         raise ValueError("defect must be nonzero")
     return make_triple(pt.kind.central(pt.x), pt.k, budget=budget, seed=seed)
-
-
-def triple_quality(t: AbcTriple) -> float | None:
-    """ln(max |leg|) / ln(radical); None when the radical is unusable."""
-    return _quality(t.a1, t.b1, t.c1, t.rad, t.rad_complete)
 
 
 def abc_check(t: AbcTriple, epsilon: float, C: float) -> bool:

@@ -4,12 +4,20 @@ Everything downstream (series build, factorization, survey windows) routes
 through this module so the exactness rules live in one place.  No floats are
 used for any correctness-bearing comparison; float seeds for root finding are
 always verified and corrected with integer arithmetic.
+
+Every caller gets its primes from `cached_primes`, which serves them out of one
+process-wide sieve.  The sieve only grows, at least doubling its top each time a
+request goes past it, so a process sieves O(log(largest limit)) times however
+many distinct limits it asks for.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from enum import Enum
+from itertools import islice
+from typing import Iterator
 
 
 class PrimalityVerdict(Enum):
@@ -56,18 +64,26 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-_sieve_cache: dict[int, list[int]] = {}
+# The shared sieve: every prime <= _sieve_top, ascending.  A regrow rebinds
+# _sieve_primes to a new list and never mutates the old one, so an iterator
+# handed out earlier stays valid while a caller inside its loop grows the sieve.
+_sieve_primes: list[int] = []
+_sieve_top = 1
 
 
-def cached_primes(limit: int) -> list[int]:
-    """Sieve up to limit, memoized on the exact limit value."""
-    got = _sieve_cache.get(limit)
-    if got is None:
-        got = sieve_primes(limit)
-        if len(_sieve_cache) > 8:
-            _sieve_cache.clear()
-        _sieve_cache[limit] = got
-    return got
+def cached_primes(limit: int) -> Iterator[int]:
+    """Iterator over the primes <= limit, ascending, from the shared sieve.
+
+    A limit above the sieve's top re-sieves up to max(limit, 2 * top), so the
+    sieve never holds more than twice the largest limit asked for.  Other
+    limits are served from the primes already held, without a copy.
+    """
+    global _sieve_primes, _sieve_top
+    if limit > _sieve_top:
+        top = max(limit, 2 * _sieve_top)
+        _sieve_primes = sieve_primes(top)
+        _sieve_top = top
+    return islice(_sieve_primes, bisect_right(_sieve_primes, limit))
 
 
 def _mr_composite_witness(n: int, a: int) -> bool:

@@ -14,6 +14,7 @@ from typing import IO
 from .curves import CurveKind, NearPoint, exact_count, near_points
 from .delta import delta_coefficients, tau_parity
 from .hecke import tau_of
+from .primes import cached_primes
 from .satotate import angle_cdf
 
 
@@ -27,6 +28,11 @@ def naive_delta_coefficients(N: int) -> list[int]:
             for i in range(top, n - 1, -1):
                 poly[i] -= poly[i - n]
     return poly
+
+
+def naive_primes(limit: int) -> list[int]:
+    """Primes <= limit, testing each n against every d with d * d <= n."""
+    return [n for n in range(2, limit + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
 
 
 def naive_near_points(kind: CurveKind, X: int, x_min: int, x_max: int) -> list[NearPoint]:
@@ -73,6 +79,11 @@ def run_self_test(stream: IO[str]) -> bool:
             failures += 1
         stream.write(f"{'PASS' if ok else 'FAIL'}  {label}\n")
 
+    limits = (60, 7, 0, 1, 2, 2, 61, 121, 119, 1000, 250, 2500, 2500, 5001, 3)
+    check(
+        all(list(cached_primes(limit)) == naive_primes(limit) for limit in limits),
+        "shared prime sieve vs trial-division oracle, rising/falling/repeated limits",
+    )
     table = delta_coefficients(500)
     check(list(table.coeffs) == naive_delta_coefficients(500), "series vs naive 24th-power product, N=500")
     check(

@@ -20,8 +20,6 @@ from .delta import TauTable
 from .hecke import is_ordinary, tau_prime_power
 from .primes import PrimalityVerdict, cached_primes, classify_prime, iroot_ceil
 
-is_probable_prime = classify_prime
-
 WINDOW_CAVEAT = (
     "observed lower bound: finite p-window per layer and a layer cap sized for "
     "generic magnitudes; sporadic smaller values outside the window are not ruled out"

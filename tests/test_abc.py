@@ -8,7 +8,6 @@ from tausurvey.abctriples import (
     from_near_point,
     make_triple,
     radical_budgeted,
-    triple_quality,
 )
 from tausurvey.curves import CurveKind, NearPoint
 
@@ -93,7 +92,7 @@ def test_radical_deterministic_seed():
 
 
 def test_quality_examples():
-    assert triple_quality(make_triple(1, 1)) == 1.0
+    assert make_triple(1, 1).quality == 1.0
     t = make_triple(1, 8)
     assert t.rad == 6
     assert abs(t.quality - math.log(9) / math.log(6)) < 1e-12
@@ -104,7 +103,6 @@ def test_quality_absent_when_incomplete():
     t = make_triple(1000003 * 1000033, 1, budget=0)
     assert not t.rad_complete
     assert t.quality is None
-    assert triple_quality(t) is None
     with pytest.raises(ValueError):
         abc_check(t, 0.5, 1.0)
 

@@ -2,9 +2,8 @@ import pytest
 
 from tausurvey.delta import TauTable, delta_coefficients
 from tausurvey.hecke import tau_of
-from tausurvey.primes import PrimalityVerdict, sieve_primes
+from tausurvey.primes import PrimalityVerdict, classify_prime, sieve_primes
 from tausurvey.survey import (
-    is_probable_prime,
     layer_window,
     omitted_values_check,
     reduction_report,
@@ -16,31 +15,31 @@ LEHMER = 80561663527802406257321747
 
 
 def test_verdict_examples():
-    assert is_probable_prime(937) is PrimalityVerdict.PRIME
-    assert is_probable_prime(113643) is PrimalityVerdict.COMPOSITE
-    assert is_probable_prime(LEHMER) is PrimalityVerdict.PROBABLE_PRIME
-    assert is_probable_prime(1) is PrimalityVerdict.COMPOSITE
+    assert classify_prime(937) is PrimalityVerdict.PRIME
+    assert classify_prime(113643) is PrimalityVerdict.COMPOSITE
+    assert classify_prime(LEHMER) is PrimalityVerdict.PROBABLE_PRIME
+    assert classify_prime(1) is PrimalityVerdict.COMPOSITE
     with pytest.raises(ValueError):
-        is_probable_prime(0)
+        classify_prime(0)
 
 
 def test_no_false_composites_below_sieve():
     primes = sieve_primes(1000000)
     for p in primes:
-        assert is_probable_prime(p) is PrimalityVerdict.PRIME, p
+        assert classify_prime(p) is PrimalityVerdict.PRIME, p
     flags = bytearray(100001)
     for p in primes:
         if p <= 100000:
             flags[p] = 1
     for n in range(2, 100001):
-        got = is_probable_prime(n) is not PrimalityVerdict.COMPOSITE
+        got = classify_prime(n) is not PrimalityVerdict.COMPOSITE
         assert got == bool(flags[n]), n
 
 
 def test_strong_pseudoprimes_caught():
     # classic base-2 strong pseudoprimes must still come out composite
     for n in (2047, 3277, 4033, 121, 703):
-        assert is_probable_prime(n) is PrimalityVerdict.COMPOSITE
+        assert classify_prime(n) is PrimalityVerdict.COMPOSITE
 
 
 def test_layer_window_values():
