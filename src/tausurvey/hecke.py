@@ -13,7 +13,21 @@ import math
 
 from .delta import TauTable
 from .errors import OutOfRangeError
-from .primes import cached_primes, factor_trial, is_prime
+from .primes import factor_trial, is_prime
+
+
+def lucas_u(P: int, Q: int, n: int) -> int:
+    """U_n(P, Q) of the Lucas sequence U_0 = 0, U_1 = 1, U_(k+1) = P U_k - Q U_(k-1).
+
+    tau(p^(n-1)) = U_n(tau(p), p^11), so U_e divides tau(p^(d-1)) whenever
+    e divides d.  n = 0 gives 0.
+    """
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    prev, cur = 0, 1
+    for _ in range(n - 1):
+        prev, cur = cur, P * cur - Q * prev
+    return cur if n else 0
 
 
 def tau_prime_power(tau_p: int, p: int, e: int) -> int:
@@ -26,13 +40,7 @@ def tau_prime_power(tau_p: int, p: int, e: int) -> int:
         raise ValueError("exponent must be >= 0")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    if e == 0:
-        return 1
-    prev, cur = 1, tau_p
-    p11 = p ** 11
-    for _ in range(e - 1):
-        prev, cur = cur, tau_p * cur - p11 * prev
-    return cur
+    return lucas_u(tau_p, p ** 11, e + 1)
 
 
 def tau_of(n: int, table: TauTable) -> int:
@@ -81,15 +89,8 @@ def admissible_exponents(ell: int) -> set[int]:
         raise ValueError(f"ell={ell} must be an odd prime")
     out = {ell}
     for part in (ell - 1, ell + 1):
-        m = part
-        for q in cached_primes(math.isqrt(part) + 1):
-            if q * q > m:
-                break
-            if m % q == 0:
-                while m % q == 0:
-                    m //= q
-                if q != 2:
-                    out.add(q)
-        if m > 2:
-            out.add(m)
+        found, cofactor = factor_trial(part, math.isqrt(part) + 1)
+        out.update(q for q in found if q != 2)
+        if cofactor > 2:
+            out.add(cofactor)
     return out

@@ -2,7 +2,8 @@
 
 The oracles here are deliberately naive and share no logic with the fast
 paths they judge: the series oracle multiplies out the 24th power factor by
-factor, and the near-point oracle tests every admissible defect directly.
+factor, the near-point oracle tests every admissible defect directly, and the
+survey oracle runs the primality test on every candidate.
 They double as the independent reference implementations for the test suite.
 """
 
@@ -12,10 +13,11 @@ import math
 from typing import IO
 
 from .curves import CurveKind, NearPoint, exact_count, near_points
-from .delta import delta_coefficients, tau_parity
-from .hecke import tau_of
-from .primes import cached_primes
+from .delta import TauTable, delta_coefficients, tau_parity
+from .hecke import is_ordinary, tau_of, tau_prime_power
+from .primes import PrimalityVerdict, cached_primes, classify_prime
 from .satotate import angle_cdf
+from .survey import SurveyLayer, SurveyRecord, layer_cap, layer_window, survey_layer
 
 
 def naive_delta_coefficients(N: int) -> list[int]:
@@ -33,6 +35,25 @@ def naive_delta_coefficients(N: int) -> list[int]:
 def naive_primes(limit: int) -> list[int]:
     """Primes <= limit, testing each n against every d with d * d <= n."""
     return [n for n in range(2, limit + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def naive_survey_layer(m: int, X: int, table: TauTable) -> SurveyLayer:
+    """Survey layer m with the primality test on every gate-passing value."""
+    window = layer_window(m, X)
+    records = []
+    for p in cached_primes(min(window, table.N)):
+        if p == 2:
+            continue
+        value = tau_prime_power(table.tau(p), p, 2 * m)
+        mag = abs(value)
+        if not 1 <= mag <= X:
+            continue
+        verdict = classify_prime(mag)
+        if verdict is PrimalityVerdict.COMPOSITE:
+            continue
+        ordinary = is_ordinary(mag, table.tau(mag)) if mag <= table.N else None
+        records.append(SurveyRecord(mag, p, m, 1 if value > 0 else -1, verdict, ordinary))
+    return SurveyLayer(m, window, window > table.N, tuple(records))
 
 
 def naive_near_points(kind: CurveKind, X: int, x_min: int, x_max: int) -> list[NearPoint]:
@@ -109,6 +130,12 @@ def run_self_test(stream: IO[str]) -> bool:
         all((r.small, r.mid, r.subunit) == naive_regime_counts(r.kind, 1000, 16) for r in reports),
         "arithmetic regime counts vs defect-scan oracle, X=1000, x <= 16",
     )
+    table = delta_coefficients(2000)
+    X = 10**120
+    layers_ok = all(
+        survey_layer(m, X, table) == naive_survey_layer(m, X, table) for m in range(1, layer_cap(X) + 1)
+    )
+    check(layers_ok, "pre-sieved survey layers vs primality test on every candidate, X=1e120, N=2000")
     check(abs(angle_cdf(math.pi) - 1.0) < 1e-12, "sin^2 measure normalization")
     stream.write(("self-test FAILED\n" if failures else "self-test OK\n"))
     return failures == 0

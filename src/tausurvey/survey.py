@@ -6,6 +6,21 @@ at n = p^(2m) with p an odd prime.  Each layer m scans the p-window where
 the Deligne bound), keeps the values that pass the magnitude gate and the
 primality test, and the survey deduplicates primes across layers.
 
+Most candidates are composite, and most of those are proved composite without
+a modular exponentiation.  tau(p^(d-1)) is the Lucas sequence U_d(P, Q) with
+P = tau(p), Q = p^11 and d = 2m + 1, which gives two cheap divisors:
+
+- d prime: a prime q != p dividing U_d has rank of apparition d, so q = d or
+  q = +-1 (mod d).  The layer builds one product of such primes and takes
+  gcd(|tau|, product).
+- d composite, e its smallest prime factor: U_e = tau(p^(e-1)) divides U_d,
+  and the layer takes gcd(|tau|, U_e).
+
+Either way the gcd divides |tau|, so a gcd strictly between 1 and |tau|
+proves |tau| composite on its own and the skip is exact whatever the
+theorems say; they only choose divisors likely to be proper.  Every other
+candidate (gcd 1 or |tau|, |tau| = 1) goes to the primality test.
+
 No finite window is provably exhaustive (absent a lower bound on |tau|), so
 every count reported here is an observed lower bound, and the reports say so.
 """
@@ -17,13 +32,18 @@ from dataclasses import dataclass, field
 
 from . import curves
 from .delta import TauTable
-from .hecke import is_ordinary, tau_prime_power
-from .primes import PrimalityVerdict, cached_primes, classify_prime, iroot_ceil
+from .hecke import is_ordinary, lucas_u, tau_prime_power
+from .primes import PrimalityVerdict, cached_primes, classify_prime, factor_trial, iroot_ceil
 
 WINDOW_CAVEAT = (
     "observed lower bound: finite p-window per layer and a layer cap sized for "
     "generic magnitudes; sporadic smaller values outside the window are not ruled out"
 )
+
+# Budget of the prime-d pre-sieve product: at most this many bits per bit of
+# X, from primes no larger than PRESIEVE_Q_MAX (tuning sweep in CHANGES.md).
+PRESIEVE_BITS_PER_X_BIT = 8
+PRESIEVE_Q_MAX = 100_000
 
 # Known small odd values that tau never takes at n >= 2.
 OMITTED_VALUES = frozenset(
@@ -88,21 +108,54 @@ def layer_window(m: int, X: int) -> int:
     return iroot_ceil((2 * m + 1) * X, 11 * m)
 
 
+def _apparition_product(d: int, X: int) -> int:
+    """Product of the primes q = d or q = +-1 (mod d), ascending, for a prime d.
+
+    These are the only primes q != p that can divide tau(p^(d-1)) = U_d, so
+    a gcd against the product finds a factor of most composite candidates.
+    Primes are added until the product passes PRESIEVE_BITS_PER_X_BIT bits per
+    bit of X or the primes pass PRESIEVE_Q_MAX: sized by X, the gcd stays
+    cheap next to the primality test it replaces at every X.
+    """
+    budget = PRESIEVE_BITS_PER_X_BIT * X.bit_length()
+    prod = 1
+    for q in cached_primes(PRESIEVE_Q_MAX):
+        if q == d or q % d in (1, d - 1):
+            prod *= q
+            if prod.bit_length() > budget:
+                break
+    return prod
+
+
 def survey_layer(m: int, X: int, table: TauTable) -> SurveyLayer:
     """Scan layer m: odd primes p up to the window, clamped to the table.
 
     Records keep only values passing both 1 <= |tau| <= X and the primality
     test; the layer is flagged truncated when the window exceeds coverage.
+    A value with a known divisor strictly between 1 and itself is composite
+    and skips the primality test (see the module docstring).
     """
     window = layer_window(m, X)
     truncated = window > table.N
+    d = 2 * m + 1
+    e = min(factor_trial(d, d)[0])
+    prod = None
     records = []
     for p in cached_primes(min(window, table.N)):
         if p == 2:
             continue
-        value = tau_prime_power(table.tau(p), p, 2 * m)
+        tau_p = table.tau(p)
+        value = tau_prime_power(tau_p, p, 2 * m)
         mag = abs(value)
         if not 1 <= mag <= X:
+            continue
+        if e == d:  # d prime
+            if prod is None:
+                prod = _apparition_product(d, X)
+            divisor = math.gcd(mag, prod)
+        else:
+            divisor = math.gcd(mag, lucas_u(tau_p, p ** 11, e))
+        if 1 < divisor < mag:
             continue
         verdict = classify_prime(mag)
         if verdict is PrimalityVerdict.COMPOSITE:
@@ -117,8 +170,13 @@ def survey_layer(m: int, X: int, table: TauTable) -> SurveyLayer:
 
 
 def layer_cap(X: int) -> int:
-    """Largest layer worth scanning: generic magnitudes start at 3^(11m)."""
-    return int(math.log(X) / (11 * math.log(3))) + 1
+    """Largest layer worth scanning: the smallest m with 3^(11m) > X, since
+    generic magnitudes start at 3^(11m)."""
+    m, power = 1, 3 ** 11
+    while power <= X:
+        m += 1
+        power *= 3 ** 11
+    return m
 
 
 def comparison_terms(X: int) -> dict[str, float]:

@@ -6,11 +6,12 @@ from tausurvey.errors import OutOfRangeError
 from tausurvey.hecke import (
     admissible_exponents,
     is_ordinary,
+    lucas_u,
     quartic_identity_check,
     tau_of,
     tau_prime_power,
 )
-from tausurvey.primes import cached_primes
+from tausurvey.primes import cached_primes, sieve_primes
 
 LEHMER_PRIME_SQUARE = -80561663527802406257321747
 
@@ -96,6 +97,48 @@ def test_admissible_exponents_definition():
         for d in cached_primes(ell + 1):
             if d != 2 and product % d == 0:
                 assert d in got
+
+
+def _admissible_exponents_by_hand(ell):
+    # the trial-division loop admissible_exponents ran before it used factor_trial
+    out = {ell}
+    for part in (ell - 1, ell + 1):
+        m = part
+        for q in sieve_primes(math.isqrt(part) + 1):
+            if q * q > m:
+                break
+            if m % q == 0:
+                while m % q == 0:
+                    m //= q
+                if q != 2:
+                    out.add(q)
+        if m > 2:
+            out.add(m)
+    return out
+
+
+def test_admissible_exponents_match_trial_division_loop():
+    for ell in sieve_primes(200_000)[1:]:
+        assert admissible_exponents(ell) == _admissible_exponents_by_hand(ell), ell
+
+
+def test_lucas_u_small_indices():
+    assert [lucas_u(3, 2, n) for n in range(6)] == [0, 1, 3, 7, 15, 31]  # 2^n - 1
+    assert [lucas_u(1, -1, n) for n in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
+    assert lucas_u(252, 3 ** 11, 3) == tau_prime_power(252, 3, 2)
+    with pytest.raises(ValueError):
+        lucas_u(1, 1, -1)
+
+
+def test_lucas_divisibility(table10k):
+    # tau(p^(e-1)) = U_e divides tau(p^(d-1)) = U_d whenever e | d
+    for p in cached_primes(200):
+        tau_p = table10k.tau(p)
+        for d in range(1, 42):
+            u_d = tau_prime_power(tau_p, p, d - 1)
+            for e in range(1, d + 1):
+                if d % e == 0:
+                    assert u_d % tau_prime_power(tau_p, p, e - 1) == 0, (p, e, d)
 
 
 def test_multiplicative_by_construction(table10k):

@@ -1,9 +1,17 @@
+import math
+
 import pytest
 
+from tausurvey import survey as survey_mod
 from tausurvey.delta import TauTable, delta_coefficients
 from tausurvey.hecke import tau_of
 from tausurvey.primes import PrimalityVerdict, classify_prime, sieve_primes
+from tausurvey.selftest import naive_primes, naive_survey_layer
 from tausurvey.survey import (
+    PRESIEVE_BITS_PER_X_BIT,
+    PRESIEVE_Q_MAX,
+    _apparition_product,
+    layer_cap,
     layer_window,
     omitted_values_check,
     reduction_report,
@@ -133,3 +141,85 @@ def test_reduction_report(table10k):
     assert rep.x_max == 10
     assert rep.survey.count == 0
     assert set(rep.survey.terms) == {"x_9_10_log_x", "x_13_22", "x_6_11"}
+
+
+def test_layer_cap_at_powers_of_3_to_the_11():
+    # layer_cap(X) is the smallest m with 3^(11m) > X
+    assert layer_cap(3) == 1
+    for k in range(1, 400):
+        power = 3 ** (11 * k)
+        assert layer_cap(power - 1) == k, k
+        assert layer_cap(power) == k + 1, k
+        assert layer_cap(power + 1) == k + 1, k
+
+
+@pytest.mark.parametrize("k, N", [(6, 2000), (26, 2000), (54, 3000), (100, 2000), (250, 600)])
+def test_layers_match_primality_test_on_every_candidate(k, N):
+    X = 10**k
+    table = delta_coefficients(N)
+    for m in range(1, layer_cap(X) + 1):
+        assert survey_layer(m, X, table) == naive_survey_layer(m, X, table), m
+
+
+def test_small_prime_value_inside_the_product(table500):
+    # With tau(3) planted as 422, tau(3^2) = 422^2 - 3^11 = 937 is a prime that
+    # is 1 mod 3, so gcd(937, product) == 937 and it must still be tested.
+    X = 10**100
+    assert _apparition_product(3, X) % 937 == 0
+    coeffs = list(table500.coeffs)
+    coeffs[2] = 422
+    planted = TauTable(table500.N, tuple(coeffs))
+    layer = survey_layer(1, X, planted)
+    assert layer == naive_survey_layer(1, X, planted)
+    assert [(r.ell, r.p, r.sign) for r in layer.records if r.p == 3] == [(937, 3, 1)]
+
+
+def test_proper_divisor_guard(monkeypatch, table500):
+    # Stubbed values exercise each branch of 1 < divisor < mag: only a value
+    # with a known divisor strictly between 1 and itself skips the test.
+    # Per p: (|tau(p^(2m))|, U_e for the composite-d layer); 2^89 - 1 is prime.
+    cases = {3: (1, 1), 5: (-937, -937), 7: (937 * 941, 941), 11: (11, 1),
+             13: (2**89 - 1, 2**89 - 1), 17: (15, 3)}
+    by_tau = {table500.tau(p): u for p, (_, u) in cases.items()}
+    tested = []
+    monkeypatch.setattr(survey_mod, "tau_prime_power", lambda tau_p, p, e: cases.get(p, (0,))[0])
+    monkeypatch.setattr(survey_mod, "lucas_u", lambda P, Q, n: by_tau[P])
+    monkeypatch.setattr(survey_mod, "classify_prime", lambda n: tested.append(n) or classify_prime(n))
+    X = 10**100
+    prod = _apparition_product(5, X)
+    assert prod % 941 == 0 and prod % 5 == 0 and prod % 11 == 0 and prod % 937 != 0
+    for m in (2, 4):  # d = 5 is prime (gcd with the product), d = 9 = 3 * 3 (U_3)
+        tested.clear()
+        layer = survey_layer(m, X, table500)
+        assert tested == [1, 937, 11, 2**89 - 1], m
+        assert [r.ell for r in layer.records] == [937, 11, 2**89 - 1], m
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 23, 47, 97])
+@pytest.mark.parametrize("X", [3, 10**6, 10**54, 10**250], ids=["3", "1e6", "1e54", "1e250"])
+def test_apparition_product(d, X):
+    prod = _apparition_product(d, X)
+    primes = sieve_primes(PRESIEVE_Q_MAX)
+    qualifying = [q for q in primes if q == d or q % d in (1, d - 1)]
+    factors = [q for q in primes if prod % q == 0]
+    assert math.prod(factors) == prod  # squarefree, no factor above the ceiling
+    assert factors == qualifying[: len(factors)]  # only qualifying primes, ascending, none skipped
+    budget = PRESIEVE_BITS_PER_X_BIT * X.bit_length()
+    assert (prod // factors[-1]).bit_length() <= budget
+    assert prod.bit_length() > budget or factors == qualifying
+
+
+def test_composite_layers_divide_by_smallest_prime_factor(monkeypatch, table500):
+    seen = []
+    real = survey_mod.lucas_u
+    monkeypatch.setattr(survey_mod, "lucas_u", lambda P, Q, n: seen.append(n) or real(P, Q, n))
+    X = 10**250
+    composite_layers = 0
+    for m in range(1, layer_cap(X) + 1):
+        d = 2 * m + 1
+        smallest = min(q for q in naive_primes(d) if d % q == 0)
+        seen.clear()
+        survey_layer(m, X, table500)
+        assert set(seen) <= ({smallest} if smallest < d else set()), d
+        composite_layers += bool(seen)
+    assert composite_layers >= 5
