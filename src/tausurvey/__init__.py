@@ -2,7 +2,7 @@
 prime-value surveys, integer points near the two twist families, abc-triple
 instrumentation, and Sato-Tate angle statistics."""
 
-from .delta import SparseSeries, TauTable, delta_coefficients, jacobi_series, tau_parity, verify_deligne
+from .delta import TauTable, delta_coefficients, jacobi_series, tau_parity, verify_deligne
 from .errors import DeligneViolationError, OutOfRangeError, ResourceLimitError
 from .hecke import admissible_exponents, is_ordinary, quartic_identity_check, tau_of, tau_prime_power
 from .primes import PrimalityVerdict
@@ -14,7 +14,6 @@ __all__ = [
     "OutOfRangeError",
     "PrimalityVerdict",
     "ResourceLimitError",
-    "SparseSeries",
     "TauTable",
     "admissible_exponents",
     "delta_coefficients",

@@ -1,8 +1,11 @@
 """Command-line surface: scriptable, deterministic, byte-stable output.
 
-Every option can also be supplied through an environment variable with the
+The shared options ("knobs") live in one table, _KNOBS, that gives each its
+parser, default, validity rule and the subcommands with its --flag.  Every
+knob can also be supplied through an environment variable with the
 TAUSURVEY_ prefix (flag --x-max becomes TAUSURVEY_X_MAX; flags win), or
 through a key=value config file passed with --config (lowest precedence).
+predict --X alone parses a real number instead of an integer.
 Big integers are always emitted as decimal strings, floats are rounded to 12
 significant digits before serialization, and record streams are canonically
 sorted, so identical configurations reproduce identical bytes.  The
@@ -22,9 +25,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import IO, Any
+from types import SimpleNamespace
+from typing import IO, Any, Callable, NamedTuple
 
 from . import abctriples, curves, satotate, survey as survey_mod
 from .delta import SERIES_MAX_DEFAULT, delta_coefficients, tau_parity, verify_deligne
@@ -33,24 +36,6 @@ from .hecke import tau_of
 from .selftest import run_self_test
 
 ENV_PREFIX = "TAUSURVEY_"
-
-_DEFAULTS = {
-    "N": 10_000,
-    "X": 1_000_000,
-    "x_min": 1,
-    "x_max": 10,
-    "m_max": 3,
-    "bins": 8,
-    "epsilon": None,
-    "C": 1.0,
-    "format": "json",
-    "seed": 0,
-    "workers": 1,
-    "budget": abctriples.DEFAULT_BUDGET,
-    "series_max": SERIES_MAX_DEFAULT,
-    "scan_ceiling": curves.FULL_SCAN_CEILING,
-}
-
 
 # CPython's default int -> str limit: a longer X could not be printed anyway.
 _BIG_INT_MAX_DIGITS = 4300
@@ -86,71 +71,55 @@ def _finite_float(text: str) -> float:
     return value
 
 
-@dataclass
-class RunConfig:
-    """Resolved knobs shared by the subcommands."""
-
-    N: int
-    X: int
-    x_min: int
-    x_max: int
-    m_max: int
-    bins: int
-    epsilon: float | None
-    C: float
-    format: str
-    seed: int
-    workers: int
-    budget: int
-    series_max: int
-    scan_ceiling: int
-
-    def validate(self) -> None:
-        positives = {
-            "N": self.N,
-            "X": self.X,
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "m_max": self.m_max,
-            "workers": self.workers,
-            "series_max": self.series_max,
-            "scan_ceiling": self.scan_ceiling,
-        }
-        for name, value in positives.items():
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
-        if self.seed < 0 or self.budget < 0:
-            raise ValueError("seed and budget must be non-negative")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.format}")
+class _Knob(NamedTuple):
+    cast: Callable[[str], Any]  # parser for flag, env and config-file text
+    default: Any
+    rule: str  # what a valid value is, for the usage error
+    check: Callable[[Any], bool]
+    commands: tuple[str, ...] | None = None  # subcommands with the --flag; None is all
+    help: str | None = None
 
 
-_CASTS = {
-    "N": int,
-    "X": _big_int,
-    "x_min": int,
-    "x_max": int,
-    "m_max": int,
-    "bins": int,
-    "epsilon": _finite_float,
-    "C": _finite_float,
-    "format": str,
-    "seed": int,
-    "workers": int,
-    "budget": int,
-    "series_max": int,
-    "scan_ceiling": int,
+def _positive(value: Any) -> bool:
+    return value >= 1
+
+
+def _non_negative(value: Any) -> bool:
+    return value >= 0
+
+
+# The one table of knobs.  Each is a --flag (dashes for underscores) on the
+# subcommands listed, a TAUSURVEY_ environment variable and a config-file key.
+# predict's --X is a float parser of its own, added with that subcommand.
+_KNOBS = {
+    "N": _Knob(int, 10_000, "positive", _positive, help="series truncation order"),
+    "X": _Knob(
+        _big_int, 1_000_000, "positive", _positive,
+        ("survey", "near-points", "count", "abc", "report"),
+    ),
+    "x_min": _Knob(int, 1, "positive", _positive, ("near-points", "abc")),
+    "x_max": _Knob(int, 10, "positive", _positive, ("near-points", "count", "abc", "report")),
+    "m_max": _Knob(int, 3, "positive", _positive, ("predict",)),
+    "bins": _Knob(int, 8, ">= 2", lambda v: v >= 2, ("sato-tate",)),
+    "epsilon": _Knob(_finite_float, None, "positive", lambda v: v is None or v > 0, ("abc",)),
+    "C": _Knob(_finite_float, 1.0, "positive", lambda v: v > 0, ("abc", "predict")),
+    "format": _Knob(str, "json", "json or csv", lambda v: v in ("json", "csv"), help="json or csv"),
+    "seed": _Knob(int, 0, "non-negative", _non_negative),
+    "workers": _Knob(
+        int, 1, "positive", _positive, help="accepted for compatibility; runs are serial"
+    ),
+    "budget": _Knob(int, abctriples.DEFAULT_BUDGET, "non-negative", _non_negative, ("abc",)),
+    "series_max": _Knob(int, SERIES_MAX_DEFAULT, "positive", _positive),
+    "scan_ceiling": _Knob(int, curves.FULL_SCAN_CEILING, "positive", _positive),
 }
 
 
+class RunConfig(SimpleNamespace):
+    """Resolved knobs, one attribute per _KNOBS entry."""
+
+
 # Config-file keys match knob names case-insensitively (n = N, X_MAX = x_max).
-_KNOB_BY_LOWER = {key.lower(): key for key in _CASTS}
+_KNOB_BY_LOWER = {key.lower(): key for key in _KNOBS}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -175,21 +144,21 @@ def _cast(cast: Any, text: str, source: str) -> Any:
 
 
 def _resolve(args: argparse.Namespace, file_cfg: dict[str, str]) -> RunConfig:
-    resolved: dict[str, Any] = {}
-    for key, cast in _CASTS.items():
+    cfg = RunConfig()
+    for key, knob in _KNOBS.items():
         value = getattr(args, key, None)
         if value is None:
             env_name = ENV_PREFIX + key.upper()
             env = os.environ.get(env_name)
             if env is not None:
-                value = _cast(cast, env, env_name)
+                value = _cast(knob.cast, env, env_name)
             elif key in file_cfg:
-                value = _cast(cast, file_cfg[key], f"config key {key}")
+                value = _cast(knob.cast, file_cfg[key], f"config key {key}")
             else:
-                value = _DEFAULTS[key]
-        resolved[key] = value
-    cfg = RunConfig(**resolved)
-    cfg.validate()
+                value = knob.default
+        if not knob.check(value):
+            raise ValueError(f"{key} must be {knob.rule}, got {value}")
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -496,14 +465,13 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--N", type=int, help="series truncation order")
-    sub.add_argument("--format", choices=("json", "csv"))
+def _add_knobs(sub: argparse.ArgumentParser, command: str) -> None:
+    """Add the --flag of every knob the subcommand takes, parsed by the table's cast."""
+    for name, knob in _KNOBS.items():
+        if knob.commands is None or command in knob.commands:
+            flag = "--" + name.replace("_", "-")
+            sub.add_argument(flag, dest=name, type=knob.cast, help=knob.help)
     sub.add_argument("--config", help="key=value config file (lowest precedence)")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int, help="accepted for compatibility; runs are serial")
-    sub.add_argument("--series-max", dest="series_max", type=int)
-    sub.add_argument("--scan-ceiling", dest="scan_ceiling", type=int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -519,56 +487,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command")
 
-    sub = subs.add_parser("tau", help="tau(n) or a table export")
+    def command(name: str, description: str) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, help=description)
+        _add_knobs(sub, name)
+        return sub
+
+    sub = command("tau", "tau(n) or a table export")
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--n", type=int)
     group.add_argument("--max", type=int, help="export tau(1..max) as records")
     sub.add_argument("--square", action="store_true", help="evaluate at n^2")
-    _add_common(sub)
 
-    sub = subs.add_parser("parity", help="parity of tau(n) by the odd-square rule")
+    sub = command("parity", "parity of tau(n) by the odd-square rule")
     sub.add_argument("--n", type=int, required=True)
-    _add_common(sub)
 
-    sub = subs.add_parser("survey", help="observed prime values |tau| <= X")
-    sub.add_argument("--X", type=_big_int)
-    _add_common(sub)
+    command("survey", "observed prime values |tau| <= X")
 
     for name, description in (
         ("near-points", "integer points near a twist family"),
         ("count", "regime-dissected near-point counts"),
         ("abc", "abc-triples from near-points"),
     ):
-        sub = subs.add_parser(name, help=description)
+        sub = command(name, description)
         sub.add_argument("--kind", choices=("deg11", "deg22"), required=True)
-        sub.add_argument("--X", type=_big_int)
-        if name != "count":
-            sub.add_argument("--x-min", dest="x_min", type=int)
-        sub.add_argument("--x-max", dest="x_max", type=int)
-        if name == "abc":
-            sub.add_argument("--epsilon", type=_finite_float)
-            sub.add_argument("--C", type=_finite_float)
-            sub.add_argument("--budget", type=int)
-        _add_common(sub)
 
-    sub = subs.add_parser("sato-tate", help="angle histogram against the sin^2 measure")
-    sub.add_argument("--bins", type=int)
+    sub = command("sato-tate", "angle histogram against the sin^2 measure")
     sub.add_argument("--p-min", dest="p_min", type=int, default=2)
     sub.add_argument("--p-max", dest="p_max", type=int)
     sub.add_argument("--u-layer", dest="u_layer", type=int)
     sub.add_argument("--u-threshold", dest="u_threshold", type=_finite_float)
-    _add_common(sub)
 
-    sub = subs.add_parser("predict", help="layered heuristic estimates for S(X)")
+    sub = command("predict", "layered heuristic estimates for S(X)")
     sub.add_argument("--X", type=_finite_float, help="real-valued bound, must exceed e")
-    sub.add_argument("--m-max", dest="m_max", type=int)
-    sub.add_argument("--C", type=_finite_float)
-    _add_common(sub)
 
-    sub = subs.add_parser("report", help="verification suites plus reduction terms")
-    sub.add_argument("--X", type=_big_int)
-    sub.add_argument("--x-max", dest="x_max", type=int)
-    _add_common(sub)
+    command("report", "verification suites plus reduction terms")
 
     return parser
 

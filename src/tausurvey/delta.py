@@ -16,7 +16,6 @@ loop is needed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from decimal import (
@@ -31,7 +30,7 @@ from decimal import (
     Overflow,
     Rounded,
 )
-from typing import IO, Iterator
+from typing import Iterator
 
 from .errors import ResourceLimitError
 from .primes import cached_primes
@@ -55,33 +54,6 @@ _EXACT = Context(
 
 
 @dataclass(frozen=True)
-class SparseSeries:
-    """Sparse integer power series: (exponent, coefficient) pairs.
-
-    Exponents strictly increase and zero coefficients are never stored.
-    """
-
-    terms: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        last = -1
-        for e, c in self.terms:
-            if e <= last:
-                raise ValueError("exponents must strictly increase")
-            if c == 0:
-                raise ValueError("zero coefficients must not be stored")
-            last = e
-
-    def coefficient(self, exponent: int) -> int:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-            if e > exponent:
-                break
-        return 0
-
-
-@dataclass(frozen=True)
 class TauTable:
     """Exact tau(1..N); 1-indexed, tau(0) does not exist."""
 
@@ -101,17 +73,12 @@ class TauTable:
         for i, t in enumerate(self.coeffs, start=1):
             yield i, t
 
-    def export_json_lines(self, stream: IO[str]) -> None:
-        """One line per n: {"n": <int>, "tau": "<decimal string>"}."""
-        for n, t in self.iter_records():
-            stream.write(json.dumps({"n": n, "tau": str(t)}, separators=(",", ":")))
-            stream.write("\n")
 
-
-def jacobi_series(order: int) -> SparseSeries:
+def jacobi_series(order: int) -> tuple[tuple[int, int], ...]:
     """prod (1-q^n)^3 truncated to exponent <= order.
 
-    Terms sit at the triangular numbers k(k+1)/2 with coefficient
+    Returns (exponent, coefficient) pairs: terms sit at the triangular
+    numbers k(k+1)/2, strictly increasing, with the nonzero coefficient
     (-1)^k (2k+1).  order = 0 leaves only the constant term.
     """
     if order < 0:
@@ -122,7 +89,7 @@ def jacobi_series(order: int) -> SparseSeries:
         coeff = 2 * k + 1
         terms.append((k * (k + 1) // 2, -coeff if k & 1 else coeff))
         k += 1
-    return SparseSeries(tuple(terms))
+    return tuple(terms)
 
 
 def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
@@ -183,7 +150,7 @@ def delta_coefficients(N: int, *, series_max: int = SERIES_MAX_DEFAULT) -> TauTa
         raise ResourceLimitError(f"series order {N} exceeds configured maximum {series_max}")
     top = N - 1  # exponent budget before the q-shift
     dense = [0] * (top + 1)
-    for e, c in jacobi_series(top).terms:
+    for e, c in jacobi_series(top):
         dense[e] = c
     power = _square_truncated(dense, top)  # prod^6
     power = _square_truncated(power, top)  # prod^12

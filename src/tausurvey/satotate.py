@@ -14,17 +14,26 @@ inequality itself) is checked in exact integer arithmetic first.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.stats import chi2 as _chi2_dist
-
 from .delta import TauTable
-from .errors import DeligneViolationError
+from .errors import DeligneViolationError, ResourceLimitError
 from .hecke import tau_prime_power
 from .primes import cached_primes
 
 CHEBYSHEV_MAX_ORDER = 20  # float-range guard for the identity check
+
+# X^(1/(11m)) >= 2 needs m <= log2(X)/11, which is below 94 for every finite
+# float X, so layers past that each add less than 2C/(ln X)^2; this round cap
+# is far above any useful m_max and bounds the layer tuple before it is built.
+PREDICT_LAYER_MAX = 1024
+
+# A chi-square tail series term past e^_RESCALE is scaled back by e^-_RESCALE,
+# so large x and k overflow neither the series nor the exp(-x/2) factor.
+# The scale is a whole power of e so that it joins -x/2 exactly in the exponent.
+_RESCALE = 354
 
 
 @dataclass(frozen=True)
@@ -98,12 +107,53 @@ def angle_cdf(theta: float) -> float:
     return (2.0 / math.pi) * (theta / 2.0 - math.sin(2.0 * theta) / 4.0)
 
 
+def _chi2_sf(x: float, k: int) -> float:
+    """Upper tail P(chi^2_k > x) for an integer k >= 1, in closed form.
+
+    Abramowitz & Stegun 26.4.5 (even k) and 26.4.4 (odd k):
+
+        even k: exp(-x/2) sum_{i < k/2} (x/2)^i / i!
+        odd k:  erfc(sqrt(x/2))
+                + sqrt(2/pi) exp(-x/2) sum_{1 <= j <= (k-1)/2} sqrt(x) x^(j-1) / (1*3*...*(2j-1))
+
+    Consecutive series terms differ by the factor x/den, den = 2, 4, ... (even)
+    or 3, 5, ... (odd); the series is summed with fsum.
+    """
+    big = math.exp(_RESCALE)
+    terms = [] if k == 1 else [math.sqrt(x) if k % 2 else 1.0]
+    shift = 0  # the series is fsum(terms) * e^shift
+    for den in range(2 + k % 2, k - 1, 2):
+        term = terms[-1] * x / den
+        if term > big:
+            terms = [math.fsum(terms) / big]
+            term /= big
+            shift += _RESCALE
+        terms.append(term)
+    tail = 0.0
+    if terms:
+        series = math.fsum(terms)
+        weight = math.exp(-x / 2)
+        if shift == 0 and weight >= sys.float_info.min:
+            tail = weight * series
+        else:  # exp(-x/2) alone would underflow or lose its precision
+            tail = math.exp(math.fsum([math.log(series), shift, -x / 2]))
+    if k % 2:
+        tail = math.erfc(math.sqrt(x / 2)) + math.sqrt(2 / math.pi) * tail
+    return tail
+
+
 def st_histogram(samples: list[AngleSample], bins: int) -> Histogram:
-    """Equal-width histogram on [0, pi] with sin^2-measure expected masses."""
+    """Equal-width histogram on [0, pi] with sin^2-measure expected masses.
+
+    bins may not exceed the sample count; the check comes before any
+    per-bin allocation.
+    """
     if bins < 2:
         raise ValueError("bins must be >= 2")
     if not samples:
         raise ValueError("samples must be nonempty")
+    if bins > len(samples):
+        raise ValueError(f"bins ({bins}) must not exceed the sample count ({len(samples)})")
     edges = tuple(math.pi * i / bins for i in range(bins + 1))
     expected = tuple(angle_cdf(edges[i + 1]) - angle_cdf(edges[i]) for i in range(bins))
     if min(expected) <= 0.0:
@@ -116,7 +166,7 @@ def st_histogram(samples: list[AngleSample], bins: int) -> Histogram:
     chi_square = sum(
         (observed[i] - n * expected[i]) ** 2 / (n * expected[i]) for i in range(bins)
     )
-    p_value = float(_chi2_dist.sf(chi_square, bins - 1))
+    p_value = _chi2_sf(chi_square, bins - 1)
     return Histogram(edges, tuple(observed), expected, chi_square, p_value)
 
 
@@ -146,11 +196,16 @@ class HeuristicPrediction:
 
 
 def heuristic_prediction(X: float, m_max: int, C: float = 1.0) -> HeuristicPrediction:
-    """Layered estimates C X^(1/(11m)) / (ln X)^2 for m = 1..m_max."""
+    """Layered estimates C X^(1/(11m)) / (ln X)^2 for m = 1..m_max.
+
+    Raises ResourceLimitError when m_max exceeds PREDICT_LAYER_MAX.
+    """
     if X <= math.e:
         raise ValueError("X must exceed e so that log X > 1")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if m_max > PREDICT_LAYER_MAX:
+        raise ResourceLimitError(f"m_max {m_max} exceeds the layer cap {PREDICT_LAYER_MAX}")
     log_sq = math.log(X) ** 2
     layers = tuple((m, C * X ** (1.0 / (11.0 * m)) / log_sq) for m in range(1, m_max + 1))
     return HeuristicPrediction(X, C, layers)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import curves
 from .delta import TauTable
-from .hecke import is_ordinary, lucas_u, tau_prime_power
+from .hecke import is_ordinary, lucas_u
 from .primes import PrimalityVerdict, cached_primes, classify_prime, factor_trial, iroot_ceil
 
 WINDOW_CAVEAT = (
@@ -145,7 +145,8 @@ def survey_layer(m: int, X: int, table: TauTable) -> SurveyLayer:
         if p == 2:
             continue
         tau_p = table.tau(p)
-        value = tau_prime_power(tau_p, p, 2 * m)
+        p11 = p ** 11
+        value = lucas_u(tau_p, p11, d)  # tau(p^(2m)); p is prime by the sieve
         mag = abs(value)
         if not 1 <= mag <= X:
             continue
@@ -154,7 +155,7 @@ def survey_layer(m: int, X: int, table: TauTable) -> SurveyLayer:
                 prod = _apparition_product(d, X)
             divisor = math.gcd(mag, prod)
         else:
-            divisor = math.gcd(mag, lucas_u(tau_p, p ** 11, e))
+            divisor = math.gcd(mag, lucas_u(tau_p, p11, e))
         if 1 < divisor < mag:
             continue
         verdict = classify_prime(mag)

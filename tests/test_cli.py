@@ -2,10 +2,14 @@ import argparse
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import tausurvey
 from tausurvey.cli import _big_int, dispatch
 
 
@@ -179,6 +183,18 @@ def test_usage_errors():
     assert code == 2
     code, _, _ = run(["sato-tate", "--N", "100", "--u-layer", "1"])
     assert code == 2
+
+
+def test_predict_layer_cap_exits_3():
+    code, out, err = run(["predict", "--X", "1e22", "--m-max", str(10**12)])
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: m_max")
+
+
+def test_bins_beyond_sample_count_exits_2():
+    code, out, err = run(["sato-tate", "--N", "1000", "--bins", str(10**9)])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: bins (1000000000) must not exceed the sample count (168)")
 
 
 def test_help_exits_zero():
@@ -422,3 +438,14 @@ def test_worker_count_does_not_change_bytes():
 def test_worker_count_must_be_positive():
     code, out, _ = run(["count", "--kind", "deg11", "--X", "10", "--x-max", "2", "--workers", "0"])
     assert (code, out) == (2, "")
+
+
+def test_cli_import_loads_no_third_party_numerics():
+    src = str(Path(tausurvey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, tausurvey.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

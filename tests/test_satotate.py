@@ -1,11 +1,15 @@
 import math
+import random
+import sys
 
 import pytest
 
-from tausurvey.errors import DeligneViolationError
+from tausurvey.errors import DeligneViolationError, ResourceLimitError
 from tausurvey.primes import cached_primes
 from tausurvey.satotate import (
+    PREDICT_LAYER_MAX,
     AngleSample,
+    _chi2_sf,
     angle,
     angle_cdf,
     angles_from_table,
@@ -117,6 +121,41 @@ def test_histogram_validation(table10k):
         st_histogram([], 4)
 
 
+def test_histogram_bins_capped_by_sample_count(table10k):
+    samples = angles_from_table(table10k, p_max=100)  # 25 primes
+    assert st_histogram(samples, len(samples)).sample_size == len(samples)
+    for bins in (len(samples) + 1, 10**9):  # refused before the edges are built
+        with pytest.raises(ValueError, match="sample count"):
+            st_histogram(samples, bins)
+
+
+def _mpmath_chi2_sf(mpmath, x, k):
+    return mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+
+
+def test_chi2_sf_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(26)
+    with mpmath.workdps(40):
+        for _ in range(400):
+            k = rng.randint(1, 200)
+            x = rng.uniform(0.0, 3.0 * k + 30.0)
+            exact = _mpmath_chi2_sf(mpmath, x, k)
+            assert abs(_chi2_sf(x, k) - exact) <= 1e-14 * exact, (x, k)
+        # past the rescaling threshold: large k and x, and a tail below 1e-300
+        for x, k in ((2000.0, 1000), (1500.0, 2001), (1e5, 100_000), (1450.0, 4)):
+            exact = _mpmath_chi2_sf(mpmath, x, k)
+            assert abs(_chi2_sf(x, k) - exact) <= 1e-12 * exact, (x, k)
+
+
+def test_chi2_sf_exact_cases():
+    for k in (1, 2, 3, 8, 199, 200):
+        assert _chi2_sf(0.0, k) == 1.0
+    for x in (0.1, 1.0, 7.5, 60.0):
+        assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
+
+
 def test_magnitude_proportion(table10k):
     samples = angles_from_table(table10k, p_max=1000)
     everything = chebyshev_magnitude_proportion(samples, 1, 0.0)
@@ -137,6 +176,15 @@ def test_prediction_boundary_and_shape():
         heuristic_prediction(math.e, 1, 1.0)
     with pytest.raises(ValueError):
         heuristic_prediction(100.0, 0, 1.0)
+
+
+def test_prediction_layer_cap():
+    # X^(1/(11m)) >= 2 only while m <= log2(X)/11 < 94 for a finite float X
+    assert 11 * 94 > math.log2(sys.float_info.max)
+    assert len(heuristic_prediction(1e22, PREDICT_LAYER_MAX).layers) == PREDICT_LAYER_MAX
+    for m_max in (PREDICT_LAYER_MAX + 1, 10**12):  # refused before any layer is built
+        with pytest.raises(ResourceLimitError):
+            heuristic_prediction(1e22, m_max)
 
 
 def test_prediction_layers_decreasing():

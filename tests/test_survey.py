@@ -178,12 +178,14 @@ def test_proper_divisor_guard(monkeypatch, table500):
     # Stubbed values exercise each branch of 1 < divisor < mag: only a value
     # with a known divisor strictly between 1 and itself skips the test.
     # Per p: (|tau(p^(2m))|, U_e for the composite-d layer); 2^89 - 1 is prime.
+    # lucas_u(tau(p), p^11, d) is the value itself; any other index is U_e.
     cases = {3: (1, 1), 5: (-937, -937), 7: (937 * 941, 941), 11: (11, 1),
              13: (2**89 - 1, 2**89 - 1), 17: (15, 3)}
-    by_tau = {table500.tau(p): u for p, (_, u) in cases.items()}
+    by_tau = {table500.tau(p): case for p, case in cases.items()}
     tested = []
-    monkeypatch.setattr(survey_mod, "tau_prime_power", lambda tau_p, p, e: cases.get(p, (0,))[0])
-    monkeypatch.setattr(survey_mod, "lucas_u", lambda P, Q, n: by_tau[P])
+    monkeypatch.setattr(
+        survey_mod, "lucas_u", lambda P, Q, n: by_tau.get(P, (0, 0))[0 if n in (5, 9) else 1]
+    )
     monkeypatch.setattr(survey_mod, "classify_prime", lambda n: tested.append(n) or classify_prime(n))
     X = 10**100
     prod = _apparition_product(5, X)
@@ -220,6 +222,7 @@ def test_composite_layers_divide_by_smallest_prime_factor(monkeypatch, table500)
         smallest = min(q for q in naive_primes(d) if d % q == 0)
         seen.clear()
         survey_layer(m, X, table500)
-        assert set(seen) <= ({smallest} if smallest < d else set()), d
-        composite_layers += bool(seen)
+        divisor_indices = set(seen) - {d}  # index d computes the value itself
+        assert divisor_indices <= ({smallest} if smallest < d else set()), d
+        composite_layers += bool(divisor_indices)
     assert composite_layers >= 5
