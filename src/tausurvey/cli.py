@@ -9,8 +9,10 @@ predict --X alone parses a real number instead of an integer.
 Big integers are always emitted as decimal strings, floats are rounded to 12
 significant digits before serialization, and record streams are canonically
 sorted, so identical configurations reproduce identical bytes.  The
---workers knob is accepted and must be positive, but every subcommand runs
-serially, so it never changes the output.
+--workers knob must be positive and defaults to the usable CPU count; survey
+and report run their primality tests on a pool of at most that many
+processes (never more than the usable CPUs), every other subcommand ignores
+it, and the output bytes are the same for every value.
 
 Exit codes: 0 success, 1 invariant violation found, 2 usage error,
 3 resource limit exceeded.
@@ -106,7 +108,10 @@ _KNOBS = {
     "format": _Knob(str, "json", "json or csv", lambda v: v in ("json", "csv"), help="json or csv"),
     "seed": _Knob(int, 0, "non-negative", _non_negative),
     "workers": _Knob(
-        int, 1, "positive", _positive, help="accepted for compatibility; runs are serial"
+        int, survey_mod.usable_cpus(), "positive", _positive,
+        help="processes for the survey/report primality tests (default and cap: "
+        "the usable CPUs; other subcommands run serially); output is identical "
+        "for every value",
     ),
     "budget": _Knob(int, abctriples.DEFAULT_BUDGET, "non-negative", _non_negative, ("abc",)),
     "series_max": _Knob(int, SERIES_MAX_DEFAULT, "positive", _positive),
@@ -256,7 +261,7 @@ def _survey_payload(rep: survey_mod.SurveyReport) -> dict[str, Any]:
 
 def _cmd_survey(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     table = _build_table(cfg)
-    rep = survey_mod.survey(cfg.X, table)
+    rep = survey_mod.survey(cfg.X, table, workers=cfg.workers)
     if cfg.format == "json":
         out.write(json.dumps(_survey_payload(rep), separators=(",", ":")))
         out.write("\n")
@@ -344,6 +349,8 @@ def _cmd_abc(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
 def _cmd_sato_tate(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     if (args.u_layer is None) != (args.u_threshold is None):
         raise ValueError("--u-layer and --u-threshold must be given together")
+    if args.u_layer is not None and cfg.format == "csv":
+        raise ValueError("--u-layer/--u-threshold have no CSV column; use --format json")
     table = _build_table(cfg)
     p_max = args.p_max if args.p_max is not None else table.N
     samples = satotate.angles_from_table(table, p_min=args.p_min, p_max=p_max)
@@ -411,7 +418,7 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     parity_bad = [
         n for n, t in table.iter_records() if (t % 2 == 1) != tau_parity(n)
     ]
-    reduction = survey_mod.reduction_report(cfg.X, table, cfg.x_max)
+    reduction = survey_mod.reduction_report(cfg.X, table, cfg.x_max, workers=cfg.workers)
     terms = {k: _f(v) for k, v in reduction.survey.terms.items()}
     terms["e2_windowed"] = reduction.e2_windowed
     terms["e4_windowed"] = reduction.e4_windowed

@@ -17,7 +17,16 @@ from .delta import TauTable, delta_coefficients, tau_parity
 from .hecke import is_ordinary, tau_of, tau_prime_power
 from .primes import PrimalityVerdict, cached_primes, classify_prime
 from .satotate import angle_cdf
-from .survey import SurveyLayer, SurveyRecord, layer_cap, layer_window, survey_layer
+from .survey import (
+    SurveyLayer,
+    SurveyRecord,
+    _layer_candidates,
+    _pooled_verdicts,
+    _verdicts,
+    layer_cap,
+    layer_window,
+    survey_layer,
+)
 
 
 def naive_delta_coefficients(N: int) -> list[int]:
@@ -136,6 +145,14 @@ def run_self_test(stream: IO[str]) -> bool:
         survey_layer(m, X, table) == naive_survey_layer(m, X, table) for m in range(1, layer_cap(X) + 1)
     )
     check(layers_ok, "pre-sieved survey layers vs primality test on every candidate, X=1e120, N=2000")
+    # min_work 0: a batch this small would otherwise be tested in-process.
+    values = [
+        abs(v) for m in range(1, layer_cap(X) + 1) for _, v in _layer_candidates(m, X, table).values
+    ]
+    check(
+        _pooled_verdicts(values, 2, 0) == _verdicts(values),
+        "primality verdicts on a 2-worker pool vs in-process, X=1e120, N=2000",
+    )
     check(abs(angle_cdf(math.pi) - 1.0) < 1e-12, "sin^2 measure normalization")
     stream.write(("self-test FAILED\n" if failures else "self-test OK\n"))
     return failures == 0

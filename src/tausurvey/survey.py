@@ -21,6 +21,11 @@ proves |tau| composite on its own and the skip is exact whatever the
 theorems say; they only choose divisors likely to be proper.  Every other
 candidate (gcd 1 or |tau|, |tau| = 1) goes to the primality test.
 
+survey() gathers the untested candidates of every layer first and tests them
+as one batch, on a fork pool of up to `workers` processes when the batch is
+large enough to pay for one; the verdicts come back in input order, so the
+report is the same for every worker count.
+
 No finite window is provably exhaustive (absent a lower bound on |tau|), so
 every count reported here is an observed lower bound, and the reports say so.
 """
@@ -28,7 +33,10 @@ every count reported here is an observed lower bound, and the reports say so.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterable, NamedTuple
 
 from . import curves
 from .delta import TauTable
@@ -44,6 +52,15 @@ WINDOW_CAVEAT = (
 # X, from primes no larger than PRESIEVE_Q_MAX (tuning sweep in CHANGES.md).
 PRESIEVE_BITS_PER_X_BIT = 8
 PRESIEVE_Q_MAX = 100_000
+
+# Pooled primality tests.  A test of an n-bit value costs about n^2 (3.3-3.6 ns
+# per squared bit across the benchmark's surveys, 2-CPU x86 VM), and a batch
+# whose summed squared bit lengths fall below POOL_MIN_WORK (about 0.7 s of
+# tests) runs in-process: up to there a pool measured no faster end to end.
+# Each pool task tests POOL_CHUNK values, few enough to balance layers of
+# unequal cost (sweeps in CHANGES.md).
+POOL_MIN_WORK = 200_000_000
+POOL_CHUNK = 16
 
 # Known small odd values that tau never takes at n >= 2.
 OMITTED_VALUES = frozenset(
@@ -127,20 +144,24 @@ def _apparition_product(d: int, X: int) -> int:
     return prod
 
 
-def survey_layer(m: int, X: int, table: TauTable) -> SurveyLayer:
-    """Scan layer m: odd primes p up to the window, clamped to the table.
+class _LayerCandidates(NamedTuple):
+    """Layer m's window and the values that still need a primality test."""
 
-    Records keep only values passing both 1 <= |tau| <= X and the primality
-    test; the layer is flagged truncated when the window exceeds coverage.
-    A value with a known divisor strictly between 1 and itself is composite
-    and skips the primality test (see the module docstring).
-    """
+    m: int
+    window: int
+    truncated: bool
+    values: list[tuple[int, int]]  # (p, tau(p^(2m))), p ascending
+
+
+def _layer_candidates(m: int, X: int, table: TauTable) -> _LayerCandidates:
+    """Odd primes p up to the window, clamped to the table, whose value passes
+    1 <= |tau| <= X and has no known divisor strictly between 1 and itself
+    (see the module docstring)."""
     window = layer_window(m, X)
-    truncated = window > table.N
     d = 2 * m + 1
     e = min(factor_trial(d, d)[0])
     prod = None
-    records = []
+    values = []
     for p in cached_primes(min(window, table.N)):
         if p == 2:
             continue
@@ -158,16 +179,111 @@ def survey_layer(m: int, X: int, table: TauTable) -> SurveyLayer:
             divisor = math.gcd(mag, lucas_u(tau_p, p11, e))
         if 1 < divisor < mag:
             continue
-        verdict = classify_prime(mag)
+        values.append((p, value))
+    return _LayerCandidates(m, window, window > table.N, values)
+
+
+def _layer_records(
+    cands: _LayerCandidates, verdicts: Iterable[PrimalityVerdict], table: TauTable
+) -> SurveyLayer:
+    """The layer's records: each candidate whose verdict is not composite."""
+    records = []
+    for (p, value), verdict in zip(cands.values, verdicts):
         if verdict is PrimalityVerdict.COMPOSITE:
             continue
+        mag = abs(value)
         if mag % 2 == 0:
-            raise AssertionError(f"even survey value {value} at p={p}, m={m}")
+            raise AssertionError(f"even survey value {value} at p={p}, m={cands.m}")
         ordinary = is_ordinary(mag, table.tau(mag)) if mag <= table.N else None
         records.append(
-            SurveyRecord(mag, p, m, 1 if value > 0 else -1, verdict, ordinary)
+            SurveyRecord(mag, p, cands.m, 1 if value > 0 else -1, verdict, ordinary)
         )
-    return SurveyLayer(m, window, truncated, tuple(records))
+    return SurveyLayer(cands.m, cands.window, cands.truncated, tuple(records))
+
+
+def _verdicts(values: list[int]) -> list[PrimalityVerdict]:
+    """Primality verdicts of a chunk of values; the task a pool worker runs.
+
+    Module-level, so a pool pickles it by name whatever `classify_prime` is
+    bound to.
+    """
+    return [classify_prime(n) for n in values]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _start_pool(processes: int):
+    """A fork pool whose `processes` workers are all running when it returns.
+
+    Forked workers inherit the loaded package and need no re-import, and
+    they ignore SIGINT, so an interrupt reaches the parent alone.  A worker
+    that dies (say, to the OOM killer) makes the pool raise
+    BrokenProcessPool instead of waiting for its result forever.
+    """
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        processes,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        pool.submit(int).result()  # a fork pool forks every worker at its first task
+    except BaseException:
+        # A fork that fails part way leaves the workers it started out of
+        # shutdown()'s reach, as the thread that would join them never began.
+        started = list(pool._processes.values())
+        for proc in started:
+            proc.terminate()
+        pool.shutdown(cancel_futures=True)
+        for proc in started:
+            proc.join()
+        raise
+    return pool
+
+
+def _pooled_verdicts(values: list[int], workers: int, min_work: int) -> list[PrimalityVerdict]:
+    """Verdicts of values in input order, on min(workers, usable CPUs) processes.
+
+    Less work than min_work (summed squared bit lengths), one usable process,
+    or a pool that cannot start (OSError; ValueError where fork is
+    unavailable) runs in-process.  Every worker is joined before this returns
+    or raises.
+    """
+    processes = min(workers, usable_cpus())
+    if processes < 2 or sum(n.bit_length() ** 2 for n in values) < min_work:
+        return _verdicts(values)
+    try:
+        pool = _start_pool(processes)
+    except (OSError, ValueError):
+        return _verdicts(values)
+    chunks = [values[i : i + POOL_CHUNK] for i in range(0, len(values), POOL_CHUNK)]
+    try:
+        results = list(pool.map(_verdicts, chunks))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [verdict for chunk in results for verdict in chunk]
+
+
+def survey_layer(m: int, X: int, table: TauTable) -> SurveyLayer:
+    """Scan layer m: odd primes p up to the window, clamped to the table.
+
+    Records keep only values passing both 1 <= |tau| <= X and the primality
+    test; the layer is flagged truncated when the window exceeds coverage.
+    A value with a known divisor strictly between 1 and itself is composite
+    and skips the primality test (see the module docstring).
+    """
+    cands = _layer_candidates(m, X, table)
+    return _layer_records(cands, _verdicts([abs(v) for _, v in cands.values]), table)
 
 
 def layer_cap(X: int) -> int:
@@ -190,12 +306,23 @@ def comparison_terms(X: int) -> dict[str, float]:
     }
 
 
-def survey(X: int, table: TauTable) -> SurveyReport:
-    """Union of all layers m = 1 .. layer_cap(X), primes deduplicated."""
+def survey(X: int, table: TauTable, *, workers: int = 1) -> SurveyReport:
+    """Union of all layers m = 1 .. layer_cap(X), primes deduplicated.
+
+    The primality tests of every layer run as one batch, on up to `workers`
+    processes once the batch holds POOL_MIN_WORK of summed squared bit
+    lengths; the report is the same either way.  The pool is forked, so
+    workers > 1 is for a process that runs no other threads.
+    """
     if X < 3:
         raise ValueError("X must be >= 3")
     m_max = layer_cap(X)
-    layers = tuple(survey_layer(m, X, table) for m in range(1, m_max + 1))
+    candidates = [_layer_candidates(m, X, table) for m in range(1, m_max + 1)]
+    values = [abs(v) for c in candidates for _, v in c.values]
+    verdicts = iter(_pooled_verdicts(values, workers, POOL_MIN_WORK))
+    layers = tuple(
+        _layer_records(c, islice(verdicts, len(c.values)), table) for c in candidates
+    )
     primes = sorted(set().union(*(layer.primes for layer in layers)))
     return SurveyReport(
         X=X,
@@ -214,10 +341,12 @@ def omitted_values_check(table: TauTable) -> list[tuple[int, int]]:
     ]
 
 
-def reduction_report(X: int, table: TauTable, x_max: int) -> ReductionReport:
+def reduction_report(
+    X: int, table: TauTable, x_max: int, *, workers: int = 1
+) -> ReductionReport:
     """Observed S(X) side by side with the analytic terms and the windowed
     near-point tail counts of both curve families."""
-    base = survey(X, table)
+    base = survey(X, table, workers=workers)
     e2 = curves.window_count(curves.CurveKind.DEG11, X, x_max)
     e4 = curves.window_count(curves.CurveKind.DEG22, X, x_max)
     return ReductionReport(base, x_max, e2, e4)

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tausurvey
+from tausurvey import survey as survey_mod
 from tausurvey.cli import _big_int, dispatch
 
 
@@ -183,6 +185,16 @@ def test_usage_errors():
     assert code == 2
     code, _, _ = run(["sato-tate", "--N", "100", "--u-layer", "1"])
     assert code == 2
+
+
+def test_sato_tate_u_pair_refused_in_csv():
+    argv = ["sato-tate", "--N", "1000", "--bins", "4", "--u-layer", "1", "--u-threshold", "0.5"]
+    code, out, err = run(argv + ["--format", "csv"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --u-layer/--u-threshold have no CSV column")
+    assert "Traceback" not in err
+    code, out, _ = run(argv)
+    assert code == 0 and "u_proportion" in json.loads(out)
 
 
 def test_predict_layer_cap_exits_3():
@@ -440,12 +452,80 @@ def test_worker_count_must_be_positive():
     assert (code, out) == (2, "")
 
 
-def test_cli_import_loads_no_third_party_numerics():
+def _run_with_src(argv):
+    """Run the interpreter on argv with this package's source first on the path,
+    its stdout block-buffered as in a plain shell pipeline."""
     src = str(Path(tausurvey.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, tausurvey.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def _modules_loaded_by_cli_import(top_level):
+    probe = (
+        "import sys, tausurvey.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {sorted(top_level)!r}))"
+    )
+    result = _run_with_src(["-c", probe])
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_cli_import_loads_no_third_party_numerics():
+    assert _modules_loaded_by_cli_import({"scipy", "numpy"}) == "[]\n"
+
+
+def test_cli_import_loads_no_multiprocessing():
+    assert _modules_loaded_by_cli_import({"multiprocessing"}) == "[]\n"
+
+
+# ------------------------------- worker pool -------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["survey", "--X", "1e54", "--N", "2000"],
+     ["survey", "--X", "1e120", "--N", "2000", "--format", "csv"],
+     ["report", "--X", "1e14", "--N", "2000", "--x-max", "5"]],
+    ids=["survey", "survey-csv", "report"],
+)
+def test_survey_bytes_identical_for_every_worker_count(pool_on, no_env, monkeypatch, argv):
+    one = run(argv + ["--workers", "1"])
+    two = run(argv + ["--workers", "2"])
+    from_env = run(argv, {"TAUSURVEY_WORKERS": "8"}, monkeypatch)
+    huge = run(argv + ["--workers", "1000000"])
+    assert one[0] == 0 and one[1] != ""
+    assert one == two == from_env == huge
+    # --workers 1 runs in-process; 8 and 1000000 are capped at the 4 usable CPUs
+    # (pool_on fails any larger request before it forks).
+    assert pool_on == [2, 4, 4]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["abc", "--kind", "deg11", "--X", "1000", "--x-max", "6", "--epsilon", "0.5"],
+     ["count", "--kind", "deg11", "--X", "1000", "--x-max", "20"],
+     ["near-points", "--kind", "deg22", "--X", "10000", "--x-max", "12"]],
+    ids=lambda a: a[0],
+)
+def test_other_subcommands_never_start_a_pool(no_env, monkeypatch, fake_pool, argv):
+    calls = fake_pool()
+    monkeypatch.setattr(survey_mod, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(survey_mod, "usable_cpus", lambda: 4)
+    code, out, _ = run(argv + ["--workers", "2"])
+    assert code == 0 and out != ""
+    assert calls == []
+
+
+def test_pooled_self_test_prints_each_line_once():
+    # Each worker flushes its copy of stdout on exit: text still buffered at
+    # the fork would be printed once more per worker.
+    result = _run_with_src(["-m", "tausurvey.cli", "--self-test"])
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[-1] == "self-test OK"
+    assert len(lines) == len(set(lines))
+    assert any("2-worker pool" in line for line in lines)

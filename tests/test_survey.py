@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -226,3 +230,143 @@ def test_composite_layers_divide_by_smallest_prime_factor(monkeypatch, table500)
         assert divisor_indices <= ({smallest} if smallest < d else set()), d
         composite_layers += bool(divisor_indices)
     assert composite_layers >= 5
+
+
+# ------------------------------ pooled verdicts ------------------------------
+
+
+def _naive_layers(X, table):
+    return tuple(naive_survey_layer(m, X, table) for m in range(1, layer_cap(X) + 1))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("k, N", [(54, 2000), (120, 2000), (250, 600)])
+def test_pooled_survey_matches_serial_and_oracle(pool_on, workers, k, N):
+    X = 10**k
+    table = delta_coefficients(N)
+    pooled = survey(X, table, workers=workers)
+    assert pool_on == [workers]
+    assert multiprocessing.active_children() == []
+    assert pooled == survey(X, table, workers=1)
+    assert pooled.layers == _naive_layers(X, table)
+
+
+def test_reduction_report_passes_workers(pool_on, table500):
+    assert reduction_report(10**14, table500, 5, workers=2) == reduction_report(10**14, table500, 5)
+    assert pool_on == [2]
+
+
+def test_pool_size_capped_by_usable_cpus(monkeypatch, fake_pool, table500):
+    calls = fake_pool()
+    monkeypatch.setattr(survey_mod, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(survey_mod, "usable_cpus", lambda: 3)
+    X = 10**54
+    assert survey(X, table500, workers=10**6) == survey(X, table500)
+    assert calls == [("start", 3), ("shutdown", True, True)]
+
+
+def test_pool_starts_only_at_the_work_threshold(monkeypatch, fake_pool, table500):
+    calls = fake_pool()
+    monkeypatch.setattr(survey_mod, "usable_cpus", lambda: 4)
+    X = 10**54
+    work = sum(
+        value.bit_length() ** 2
+        for m in range(1, layer_cap(X) + 1)
+        for _, value in survey_mod._layer_candidates(m, X, table500).values
+    )
+    assert 0 < work < survey_mod.POOL_MIN_WORK
+    survey(X, table500, workers=4)
+    monkeypatch.setattr(survey_mod, "POOL_MIN_WORK", work + 1)
+    survey(X, table500, workers=4)
+    monkeypatch.setattr(survey_mod, "POOL_MIN_WORK", 0)
+    survey(X, table500, workers=1)
+    assert calls == []
+    monkeypatch.setattr(survey_mod, "POOL_MIN_WORK", work)
+    survey(X, table500, workers=4)
+    assert calls == [("start", 4), ("shutdown", True, True)]
+    calls.clear()
+    monkeypatch.setattr(survey_mod, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(survey_mod, "usable_cpus", lambda: 1)
+    survey(X, table500, workers=4)
+    assert calls == []
+
+
+@pytest.mark.parametrize("error", [OSError, ValueError])
+def test_pool_start_failure_falls_back_in_process(monkeypatch, table500, error):
+    def refuse(processes):
+        raise error("cannot fork")
+
+    monkeypatch.setattr(survey_mod, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(survey_mod, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(survey_mod, "_start_pool", refuse)
+    X = 10**120
+    assert survey(X, table500, workers=4) == survey(X, table500)
+
+
+def test_failed_map_shuts_the_pool_down(monkeypatch, fake_pool, table500):
+    calls = fake_pool(fail=True)
+    monkeypatch.setattr(survey_mod, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(survey_mod, "usable_cpus", lambda: 4)
+    with pytest.raises(MemoryError):
+        survey(10**54, table500, workers=2)
+    assert calls == [("start", 2), ("shutdown", True, True)]
+
+
+def test_worker_exception_leaves_no_children(pool_on, monkeypatch, table500):
+    # Forked after the patch, the workers raise on their first value.
+    def broken(n):
+        raise ArithmeticError(f"cannot test {n}")
+
+    monkeypatch.setattr(survey_mod, "classify_prime", broken)
+    with pytest.raises(ArithmeticError):
+        survey(10**54, table500, workers=2)
+    assert pool_on == [2]
+    assert multiprocessing.active_children() == []
+
+
+def _timed_out(signum, frame):
+    raise AssertionError("pooled survey still waiting after a worker died")
+
+
+def test_killed_worker_raises_instead_of_hanging(pool_on, monkeypatch, table500):
+    # A worker that dies mid-task, as to the OOM killer, must fail the survey.
+    # The alarm turns a hang into a test failure.
+    parent = os.getpid()
+
+    def die(n):
+        if os.getpid() == parent:
+            raise AssertionError("verdicts were computed in-process")
+        os._exit(1)
+
+    monkeypatch.setattr(survey_mod, "classify_prime", die)
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            survey(10**54, table500, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert pool_on == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_failing_part_way_falls_back_and_reaps(pool_on, monkeypatch, table500):
+    # The second fork fails: the worker already started must be ended, and
+    # the verdicts computed in-process.
+    real_start = multiprocessing.context.ForkProcess.start
+    forks = []
+
+    def start_once(proc):
+        forks.append(proc)
+        if len(forks) > 1:
+            raise OSError(11, "Resource temporarily unavailable")
+        real_start(proc)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_once)
+    X = 10**120
+    pooled = survey(X, table500, workers=3)
+    monkeypatch.undo()
+    assert len(forks) == 2
+    assert pooled == survey(X, table500)
+    assert multiprocessing.active_children() == []

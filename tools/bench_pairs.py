@@ -14,7 +14,9 @@ the file holds each side's median, Q1 and Q3 (inclusive quartiles of the
 per-run medians), the change's wins out of the pairs (ties count for
 neither), the gap in medians signed so that a positive gap means the change
 is better, the base's Q3 - Q1, and the commit and src_sha256 each side
-reported.
+reported, with `dirty`: whether `git status --porcelain` lists any change in
+that side's checkout (null when the root is not a git work tree).  A dirty
+side's commit is only the one its changes sit on.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     if got.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{root}: {workload} seed {seed} exited {got.returncode}\n{got.stderr[-2000:]}")
     return json.loads(lines[0])["env"], json.loads(lines[-1])
+
+
+def is_dirty(root: Path) -> bool | None:
+    """Whether the git work tree at root has uncommitted changes; None if it is not one."""
+    try:
+        got = subprocess.run(["git", "status", "--porcelain"], cwd=root,
+                             capture_output=True, text=True, timeout=60)
+    except OSError:
+        return None
+    return bool(got.stdout.strip()) if got.returncode == 0 else None
 
 
 def quartiles(values: list[float]) -> dict:
@@ -77,6 +89,7 @@ def main() -> int:
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
+    dirty = {side: is_dirty(root) for side, root in roots.items()}
     doc = {"seconds": seconds, "seeds": list(SEEDS), "sides": {}, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         pairs: list[dict] = []
@@ -85,7 +98,7 @@ def main() -> int:
             pair: dict = {"seed": seed, "first": order[0]}
             for side in order:
                 env, result = run_side(roots[side], workload, seed, seconds)
-                doc["sides"][side] = {"commit": env["commit"],
+                doc["sides"][side] = {"commit": env["commit"], "dirty": dirty[side],
                                       "src_sha256": env["src_sha256"]}
                 pair[side] = {k: result[k] for k in ("correct", "attempted", "failed", "metrics")}
             pairs.append(pair)
