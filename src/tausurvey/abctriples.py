@@ -89,17 +89,25 @@ def _peel_perfect_power(n: int) -> int:
 def radical_budgeted(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> tuple[int, bool]:
     """Product of the distinct primes dividing n, under a factoring budget.
 
-    Trial division runs up to TRIAL_LIMIT; remaining composite cofactors go
-    through Brent rho with a deterministic RNG seeded by `seed`, spending at
-    most `budget` iterations in total.  When some cofactor resists, it is
-    multiplied into the result as-is, so the returned value is an upper bound
-    on the true radical and the flag is False.  Cofactors surviving the
-    probable-prime test are treated as prime.
+    A perfect square n = r^2 is replaced by r first, since rad(r^2) = rad(r)
+    and trial division of r^2 only stops early once it passes r, not
+    sqrt(r).  Trial division runs up to TRIAL_LIMIT; remaining composite
+    cofactors go through Brent rho with a deterministic RNG seeded by `seed`,
+    spending at most `budget` iterations in total.  When some cofactor
+    resists, it is multiplied into the result as-is, so the returned value is
+    an upper bound on the true radical and the flag is False.  Cofactors
+    surviving the probable-prime test are treated as prime.  The square peel
+    changes neither result: the cofactor left by trial division of r^2 is the
+    square of the one left for r, and both peel to the same primitive root.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return 1, True
+    r = math.isqrt(n)
+    while r > 1 and r * r == n:
+        n = r
+        r = math.isqrt(n)
     exponents, cofactor = factor_trial(n, TRIAL_LIMIT)
     found = set(exponents)
     stubborn: set[int] = set()

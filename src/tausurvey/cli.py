@@ -201,6 +201,15 @@ def emit(records: list[dict[str, Any]], fieldnames: list[str], fmt: str, out: IO
 # ------------------------------ subcommands ------------------------------
 
 
+def _float_X(cfg: RunConfig) -> float:
+    """X as a float, for the analytic terms; an X beyond the largest float is a
+    usage error, raised before any table or scan."""
+    try:
+        return float(cfg.X)
+    except OverflowError:
+        raise ValueError(f"X is too large for a float (max {sys.float_info.max:.6g})") from None
+
+
 def _build_table(cfg: RunConfig, minimum: int = 1):
     return delta_coefficients(max(cfg.N, minimum), series_max=cfg.series_max)
 
@@ -260,6 +269,7 @@ def _survey_payload(rep: survey_mod.SurveyReport) -> dict[str, Any]:
 
 
 def _cmd_survey(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
+    _float_X(cfg)
     table = _build_table(cfg)
     rep = survey_mod.survey(cfg.X, table, workers=cfg.workers)
     if cfg.format == "json":
@@ -318,32 +328,49 @@ def _cmd_abc(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
         cfg.x_max,
         ceiling=cfg.scan_ceiling,
     )
-    fields = ["a", "b", "c", "d", "rad", "rad_complete", "quality"]
-    if cfg.epsilon is not None:
-        fields.append("abc_ok")
+    # The triple of (x, y, k) is that of (x, -y, k): it depends on x and k
+    # alone.  Each record is built once, at the first of the two points, and
+    # listed again at its mirror.
     records = []
+    x = None
+    by_defect: dict[int, dict[str, Any]] = {}  # records of abscissa x, by k
     for pt in points:
         if pt.y == 0:
             continue
-        triple = abctriples.from_near_point(pt, budget=cfg.budget, seed=cfg.seed)
-        record: dict[str, Any] = {
-            "a": str(triple.a),
-            "b": str(triple.b),
-            "c": str(triple.c),
-            "d": str(triple.d),
-            "rad": str(triple.rad),
-            "rad_complete": triple.rad_complete,
-            "quality": None if triple.quality is None else _f(triple.quality),
-        }
-        if cfg.epsilon is not None:
-            record["abc_ok"] = (
-                abctriples.abc_check(triple, cfg.epsilon, cfg.C)
-                if triple.rad_complete
-                else None
-            )
+        if pt.x != x:
+            x = pt.x
+            by_defect.clear()
+        record = by_defect.get(pt.k)
+        if record is None:
+            triple = abctriples.from_near_point(pt, budget=cfg.budget, seed=cfg.seed)
+            record = by_defect[pt.k] = abc_record(triple, cfg.epsilon, cfg.C)
         records.append(record)
-    emit(records, fields, cfg.format, out)
+    emit(records, abc_fields(cfg.epsilon), cfg.format, out)
     return 0
+
+
+def abc_fields(epsilon: float | None) -> list[str]:
+    """Columns of the abc records; abc_ok only when an epsilon is given."""
+    fields = ["a", "b", "c", "d", "rad", "rad_complete", "quality"]
+    return fields if epsilon is None else fields + ["abc_ok"]
+
+
+def abc_record(triple: abctriples.AbcTriple, epsilon: float | None, C: float) -> dict[str, Any]:
+    """The output record of one triple."""
+    record: dict[str, Any] = {
+        "a": str(triple.a),
+        "b": str(triple.b),
+        "c": str(triple.c),
+        "d": str(triple.d),
+        "rad": str(triple.rad),
+        "rad_complete": triple.rad_complete,
+        "quality": None if triple.quality is None else _f(triple.quality),
+    }
+    if epsilon is not None:
+        record["abc_ok"] = (
+            abctriples.abc_check(triple, epsilon, C) if triple.rad_complete else None
+        )
+    return record
 
 
 def _cmd_sato_tate(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
@@ -389,11 +416,7 @@ def _cmd_sato_tate(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> in
 
 
 def _cmd_predict(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
-    try:
-        X = float(cfg.X)
-    except OverflowError:
-        raise ValueError("X is too large for a float estimate") from None
-    pred = satotate.heuristic_prediction(X, cfg.m_max, cfg.C)
+    pred = satotate.heuristic_prediction(_float_X(cfg), cfg.m_max, cfg.C)
     if not math.isfinite(pred.total):
         raise ValueError("the estimate overflows a float; lower X or C")
     if cfg.format == "csv":
@@ -412,6 +435,7 @@ def _cmd_predict(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
+    _float_X(cfg)
     table = _build_table(cfg)
     deligne = verify_deligne(table)
     omitted = survey_mod.omitted_values_check(table)

@@ -2,16 +2,20 @@
 
 The oracles here are deliberately naive and share no logic with the fast
 paths they judge: the series oracle multiplies out the 24th power factor by
-factor, the near-point oracle tests every admissible defect directly, and the
-survey oracle runs the primality test on every candidate.
+factor, the near-point oracle tests every admissible defect directly, the
+survey oracle runs the primality test on every candidate, and the abc oracle
+builds one triple per point and takes its radical by plain trial division.
 They double as the independent reference implementations for the test suite.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import math
 from typing import IO
 
+from .abctriples import DEFAULT_BUDGET, AbcTriple, from_near_point
 from .curves import CurveKind, NearPoint, exact_count, near_points
 from .delta import TauTable, delta_coefficients, tau_parity
 from .hecke import is_ordinary, tau_of, tau_prime_power
@@ -86,6 +90,63 @@ def naive_near_points(kind: CurveKind, X: int, x_min: int, x_max: int) -> list[N
     return points
 
 
+def naive_radical(n: int) -> int:
+    """Product of the distinct primes of n >= 1, dividing by every d with d * d <= n."""
+    rad, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            rad *= d
+            while n % d == 0:
+                n //= d
+        d += 1
+    return rad * n
+
+
+def naive_abc_triples(kind: CurveKind, X: int, x_min: int, x_max: int) -> list[AbcTriple]:
+    """from_near_point on every oracle point with y != 0, mirror points
+    included, each radical replaced by the trial-division oracle's.
+
+    Matches the budgeted radicals only where they complete, so callers keep
+    every leg small enough for trial division alone.
+    """
+    triples = []
+    for pt in naive_near_points(kind, X, x_min, x_max):
+        if pt.y == 0:
+            continue
+        t = from_near_point(pt)
+        rad = naive_radical(abs(t.a1 * t.b1 * t.c1))
+        top = max(abs(t.a1), abs(t.b1), abs(t.c1))
+        quality = math.log(top) / math.log(rad) if rad > 1 else None
+        triples.append(dataclasses.replace(t, rad=rad, rad_complete=True, quality=quality))
+    return triples
+
+
+def abc_output_pair(
+    kind: CurveKind,
+    X: int,
+    x_max: int,
+    *,
+    fmt: str = "json",
+    budget: int = DEFAULT_BUDGET,
+    epsilon: float | None = None,
+    C: float = 1.0,
+) -> tuple[str, str]:
+    """(stdout of `tausurvey abc` on 1 <= x <= x_max, the same records built
+    from naive_abc_triples); every knob that shapes the output is a flag."""
+    from . import cli  # imported here: cli imports this module
+
+    argv = ["abc", "--kind", kind.value, "--X", str(X), "--x-min", "1", "--x-max", str(x_max),
+            "--format", fmt, "--budget", str(budget), "--seed", "0", "--C", repr(C)]
+    if epsilon is not None:
+        argv += ["--epsilon", repr(epsilon)]
+    out, expected = io.StringIO(), io.StringIO()
+    cli.dispatch(argv, out, io.StringIO())
+    triples = naive_abc_triples(kind, X, 1, x_max)
+    records = [cli.abc_record(t, epsilon, C) for t in triples]
+    cli.emit(records, cli.abc_fields(epsilon), fmt, expected)
+    return out.getvalue(), expected.getvalue()
+
+
 def naive_regime_counts(kind: CurveKind, X: int, x_max: int) -> tuple[int, int, int]:
     """(small, mid, subunit) by classifying every oracle point on 1 <= x <= x_max."""
     counts = [0, 0, 0]
@@ -152,6 +213,11 @@ def run_self_test(stream: IO[str]) -> bool:
     check(
         _pooled_verdicts(values, 2, 0) == _verdicts(values),
         "primality verdicts on a 2-worker pool vs in-process, X=1e120, N=2000",
+    )
+    pairs = [abc_output_pair(kind, 10_000, 6, fmt=fmt) for kind in CurveKind for fmt in ("json", "csv")]
+    check(
+        all(got == want for got, want in pairs),
+        "abc records, one triple per mirror pair, vs per-point trial-division oracle, X=1e4, x <= 6",
     )
     check(abs(angle_cdf(math.pi) - 1.0) < 1e-12, "sin^2 measure normalization")
     stream.write(("self-test FAILED\n" if failures else "self-test OK\n"))

@@ -40,6 +40,7 @@ from typing import Iterable, NamedTuple
 
 from . import curves
 from .delta import TauTable
+from .errors import ResourceLimitError
 from .hecke import is_ordinary, lucas_u
 from .primes import PrimalityVerdict, cached_primes, classify_prime, factor_trial, iroot_ceil
 
@@ -256,8 +257,8 @@ def _pooled_verdicts(values: list[int], workers: int, min_work: int) -> list[Pri
 
     Less work than min_work (summed squared bit lengths), one usable process,
     or a pool that cannot start (OSError; ValueError where fork is
-    unavailable) runs in-process.  Every worker is joined before this returns
-    or raises.
+    unavailable) runs in-process.  A worker that dies mid-batch raises
+    ResourceLimitError.  Every worker is joined before this returns or raises.
     """
     processes = min(workers, usable_cpus())
     if processes < 2 or sum(n.bit_length() ** 2 for n in values) < min_work:
@@ -266,9 +267,13 @@ def _pooled_verdicts(values: list[int], workers: int, min_work: int) -> list[Pri
         pool = _start_pool(processes)
     except (OSError, ValueError):
         return _verdicts(values)
+    from concurrent.futures.process import BrokenProcessPool  # loaded by _start_pool
+
     chunks = [values[i : i + POOL_CHUNK] for i in range(0, len(values), POOL_CHUNK)]
     try:
         results = list(pool.map(_verdicts, chunks))
+    except BrokenProcessPool as exc:
+        raise ResourceLimitError("a primality-test worker process died; try fewer --workers") from exc
     finally:
         pool.shutdown(cancel_futures=True)
     return [verdict for chunk in results for verdict in chunk]
@@ -316,6 +321,7 @@ def survey(X: int, table: TauTable, *, workers: int = 1) -> SurveyReport:
     """
     if X < 3:
         raise ValueError("X must be >= 3")
+    terms = comparison_terms(X)  # before the scan: an X no float holds fails here
     m_max = layer_cap(X)
     candidates = [_layer_candidates(m, X, table) for m in range(1, m_max + 1)]
     values = [abs(v) for c in candidates for _, v in c.values]
@@ -330,7 +336,7 @@ def survey(X: int, table: TauTable, *, workers: int = 1) -> SurveyReport:
         layers=layers,
         primes=tuple(primes),
         truncated=any(layer.truncated for layer in layers),
-        terms=comparison_terms(X),
+        terms=terms,
     )
 
 

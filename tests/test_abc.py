@@ -2,14 +2,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tausurvey import abctriples
 from tausurvey.abctriples import (
+    DEFAULT_BUDGET,
+    TRIAL_LIMIT,
     abc_check,
     from_near_point,
     make_triple,
     radical_budgeted,
 )
 from tausurvey.curves import CurveKind, NearPoint
+from tausurvey.primes import factor_trial, is_prime
+from tausurvey.selftest import abc_output_pair, naive_radical
 
 
 def test_triple_from_prime_defect_point():
@@ -130,3 +137,112 @@ def test_quality_bound_coherence():
         for eps in (0.01, 0.1, 0.5, 1.0):
             if t.quality is not None and t.quality <= 1 + eps:
                 assert abc_check(t, eps, 1.0)
+
+
+# ------------------------- square peel equivalence -------------------------
+
+
+def reference_radical(n, budget=DEFAULT_BUDGET, seed=0):
+    """radical_budgeted as it was before the square peel: trial division of n itself."""
+    if n == 1:
+        return 1, True
+    exponents, cofactor = factor_trial(n, TRIAL_LIMIT)
+    found = set(exponents)
+    stubborn = set()
+    if cofactor > 1:
+        rng = random.Random(seed)
+        remaining = budget
+        stack = [abctriples._peel_perfect_power(cofactor)]
+        while stack:
+            m = stack.pop()
+            if m in found:
+                continue
+            if is_prime(m):
+                found.add(m)
+                continue
+            factor, used = abctriples._rho_brent(m, rng, remaining)
+            remaining -= used
+            if factor is None:
+                stubborn.add(m)
+                continue
+            stack.append(abctriples._peel_perfect_power(factor))
+            stack.append(abctriples._peel_perfect_power(m // factor))
+    return math.prod(found) * math.prod(stubborn), not stubborn
+
+
+BUDGETS = st.sampled_from([0, 50, DEFAULT_BUDGET])
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=10**24), BUDGETS, st.integers(0, 3))
+def test_peel_matches_reference_on_random_n(n, budget, seed):
+    assert radical_budgeted(n, budget, seed) == reference_radical(n, budget, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=10**12), st.sampled_from([2, 4]), BUDGETS)
+def test_peel_matches_reference_on_squares_and_fourth_powers(r, k, budget):
+    assert radical_budgeted(r**k, budget) == reference_radical(r**k, budget)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=TRIAL_LIMIT + 1, max_value=10**9),
+    st.integers(min_value=TRIAL_LIMIT + 1, max_value=10**9),
+    st.integers(min_value=1, max_value=30),
+    BUDGETS,
+)
+def test_peel_matches_reference_on_squared_large_semiprimes(p, q, small, budget):
+    # Both primes beyond trial division, so the cofactor goes to rho (and
+    # resists it at budget 0) on either path.
+    p, q = _next_prime(p), _next_prime(q)
+    n = (small * p * q) ** 2
+    assert radical_budgeted(n, budget) == reference_radical(n, budget)
+
+
+def test_peel_keeps_a_stubborn_square_root():
+    n = 1000003 * 1000033
+    assert radical_budgeted(n**2, budget=0) == reference_radical(n**2, budget=0) == (n, False)
+    assert radical_budgeted(n**4) == (n, True)
+
+
+# ---------------------- abc records, one per mirror pair ----------------------
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("budget", [0, DEFAULT_BUDGET])
+@pytest.mark.parametrize(
+    "kind, X, x_max", [(CurveKind.DEG11, 10**5, 8), (CurveKind.DEG22, 10**4, 6)]
+)
+def test_abc_output_matches_per_point_oracle(kind, X, x_max, budget, fmt):
+    got, want = abc_output_pair(kind, X, x_max, fmt=fmt, budget=budget, epsilon=0.5)
+    # Compared as lists: pytest's diff of two long unequal strings is very slow.
+    assert got.splitlines() == want.splitlines()
+    assert len(want.splitlines()) > 100
+
+
+def test_abc_mirror_points_share_one_triple(monkeypatch):
+    built = []
+    real = abctriples.from_near_point
+
+    def counting(pt, **kwargs):
+        built.append((pt.x, pt.k))
+        return real(pt, **kwargs)
+
+    monkeypatch.setattr(abctriples, "from_near_point", counting)
+    got, want = abc_output_pair(CurveKind.DEG11, 1000, 6)
+    assert got.splitlines() == want.splitlines()
+    assert len(built) == len(set(built))
+    assert 2 * len(built) == got.count("\n")
+
+
+def test_naive_radical():
+    assert [naive_radical(n) for n in (1, 2, 8, 12, 49, 118722, 1009**2)] == [
+        1, 2, 2, 6, 7, 118722, 1009,
+    ]

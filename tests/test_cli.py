@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tausurvey
-from tausurvey import survey as survey_mod
+from tausurvey import cli, survey as survey_mod
 from tausurvey.cli import _big_int, dispatch
 
 
@@ -360,6 +360,19 @@ def test_predict_float_overflow_is_usage_error(monkeypatch):
     code, out, err = run(["predict"], env={"TAUSURVEY_X": "1e400"}, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: X is too large")
+
+
+@pytest.mark.parametrize("command", ["survey", "report"])
+def test_x_beyond_float_is_usage_error_before_the_scan(command, monkeypatch):
+    # The comparison terms are floats of X: 1e400 fails before any table is built.
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built before X was checked")
+
+    monkeypatch.setattr(cli, "delta_coefficients", no_table)
+    code, out, err = run([command, "--X", "1e400", "--N", "100"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: X is too large for a float")
+    assert "Traceback" not in err
 
 
 def test_huge_x_rejected_before_allocation():

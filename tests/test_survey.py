@@ -1,3 +1,4 @@
+import io
 import math
 import multiprocessing
 import os
@@ -7,7 +8,9 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from tausurvey import survey as survey_mod
+from tausurvey.cli import dispatch
 from tausurvey.delta import TauTable, delta_coefficients
+from tausurvey.errors import ResourceLimitError
 from tausurvey.hecke import tau_of
 from tausurvey.primes import PrimalityVerdict, classify_prime, sieve_primes
 from tausurvey.selftest import naive_primes, naive_survey_layer
@@ -342,12 +345,20 @@ def test_killed_worker_raises_instead_of_hanging(pool_on, monkeypatch, table500)
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.alarm(60)
     try:
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(ResourceLimitError, match="worker process died") as info:
             survey(10**54, table500, workers=2)
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        # From the command line: exit 3 and a one-line message.
+        out, err = io.StringIO(), io.StringIO()
+        code = dispatch(["survey", "--X", "1e54", "--N", "500", "--workers", "2"], out, err)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert pool_on == [2]
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue().startswith("resource limit: ")
+    assert len(err.getvalue().splitlines()) == 1
+    assert "Traceback" not in err.getvalue()
+    assert pool_on == [2, 2]
     assert multiprocessing.active_children() == []
 
 
