@@ -6,7 +6,11 @@ knob can also be supplied through an environment variable with the
 TAUSURVEY_ prefix (flag --x-max becomes TAUSURVEY_X_MAX; flags win), or
 through a key=value config file passed with --config (lowest precedence).
 predict --X alone parses a real number instead of an integer.
-Big integers are always emitted as decimal strings, floats are rounded to 12
+
+emit is the only serializer: each subcommand builds its records once and
+hands them to emit, which writes JSON lines or CSV rows.  survey, report,
+sato-tate and predict write one JSON document, and their CSV holds its flat
+rows; tau --n alone prints a bare integer in either format.  Big integers are always emitted as decimal strings, floats are rounded to 12
 significant digits before serialization, and record streams are canonically
 sorted, so identical configurations reproduce identical bytes.  The
 --workers knob must be positive and defaults to the usable CPU count; survey
@@ -186,7 +190,8 @@ def _csv_cell(value: Any) -> str:
 
 
 def emit(records: list[dict[str, Any]], fieldnames: list[str], fmt: str, out: IO[str]) -> None:
-    """Write records as JSON lines or CSV with a fixed field order."""
+    """Write records as JSON lines or CSV with a fixed field order; the one
+    place that serializes stdout."""
     if fmt == "json":
         for record in records:
             out.write(json.dumps(record, separators=(",", ":")))
@@ -196,6 +201,14 @@ def emit(records: list[dict[str, Any]], fieldnames: list[str], fmt: str, out: IO
         writer.writerow(fieldnames)
         for record in records:
             writer.writerow([_csv_cell(record[name]) for name in fieldnames])
+
+
+def _emit_document(
+    document: dict[str, Any], rows: list[dict[str, Any]], fieldnames: list[str], fmt: str,
+    out: IO[str],
+) -> None:
+    """A one-document subcommand: the whole document as JSON, its flat rows as CSV."""
+    emit([document] if fmt == "json" else rows, fieldnames, fmt, out)
 
 
 # ------------------------------ subcommands ------------------------------
@@ -210,8 +223,8 @@ def _float_X(cfg: RunConfig) -> float:
         raise ValueError(f"X is too large for a float (max {sys.float_info.max:.6g})") from None
 
 
-def _build_table(cfg: RunConfig, minimum: int = 1):
-    return delta_coefficients(max(cfg.N, minimum), series_max=cfg.series_max)
+def _build_table(cfg: RunConfig):
+    return delta_coefficients(cfg.N, series_max=cfg.series_max)
 
 
 def _cmd_tau(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
@@ -245,58 +258,48 @@ def _survey_record(r: survey_mod.SurveyRecord) -> dict[str, Any]:
     }
 
 
-def _survey_payload(rep: survey_mod.SurveyReport) -> dict[str, Any]:
-    return {
+def _cmd_survey(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
+    _float_X(cfg)
+    rep = survey_mod.survey(cfg.X, _build_table(cfg), workers=cfg.workers)
+    layers = [
+        {
+            "m": layer.m,
+            "p_window": layer.p_window,
+            "truncated": layer.truncated,
+            "count": len(layer.primes),
+            "records": [_survey_record(r) for r in layer.records],
+        }
+        for layer in rep.layers
+    ]
+    document = {
         "X": str(rep.X),
         "count": rep.count,
         "m_max": rep.m_max,
         "windowed": rep.windowed,
         "truncated": rep.truncated,
         "terms": {k: _f(v) for k, v in rep.terms.items()},
-        "layers": [
-            {
-                "m": layer.m,
-                "p_window": layer.p_window,
-                "truncated": layer.truncated,
-                "count": len(layer.primes),
-                "records": [_survey_record(r) for r in layer.records],
-            }
-            for layer in rep.layers
-        ],
+        "layers": layers,
         "primes": [str(ell) for ell in rep.primes],
         "caveat": rep.caveat,
     }
-
-
-def _cmd_survey(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
-    _float_X(cfg)
-    table = _build_table(cfg)
-    rep = survey_mod.survey(cfg.X, table, workers=cfg.workers)
-    if cfg.format == "json":
-        out.write(json.dumps(_survey_payload(rep), separators=(",", ":")))
-        out.write("\n")
-    else:
-        records = [_survey_record(r) for layer in rep.layers for r in layer.records]
-        emit(records, ["ell", "p", "m", "sign", "verdict", "ordinary"], "csv", out)
+    rows = [record for layer in layers for record in layer["records"]]
+    fields = ["ell", "p", "m", "sign", "verdict", "ordinary"]
+    _emit_document(document, rows, fields, cfg.format, out)
     return 0
 
 
-def _near_point_records(points: list[curves.NearPoint]) -> list[dict[str, Any]]:
-    return [
-        {"kind": pt.kind.value, "x": pt.x, "y": str(pt.y), "k": str(pt.k)}
-        for pt in points
-    ]
+def _near_points(args: argparse.Namespace, cfg: RunConfig) -> list[curves.NearPoint]:
+    return curves.near_points(
+        curves.CurveKind(args.kind), cfg.X, cfg.x_min, cfg.x_max, ceiling=cfg.scan_ceiling
+    )
 
 
 def _cmd_near_points(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
-    points = curves.near_points(
-        curves.CurveKind(args.kind),
-        cfg.X,
-        cfg.x_min,
-        cfg.x_max,
-        ceiling=cfg.scan_ceiling,
-    )
-    emit(_near_point_records(points), ["kind", "x", "y", "k"], cfg.format, out)
+    records = [
+        {"kind": pt.kind.value, "x": pt.x, "y": str(pt.y), "k": str(pt.k)}
+        for pt in _near_points(args, cfg)
+    ]
+    emit(records, ["kind", "x", "y", "k"], cfg.format, out)
     return 0
 
 
@@ -321,13 +324,7 @@ def _cmd_count(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
 
 
 def _cmd_abc(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
-    points = curves.near_points(
-        curves.CurveKind(args.kind),
-        cfg.X,
-        cfg.x_min,
-        cfg.x_max,
-        ceiling=cfg.scan_ceiling,
-    )
+    points = _near_points(args, cfg)
     # The triple of (x, y, k) is that of (x, -y, k): it depends on x and k
     # alone.  Each record is built once, at the first of the two points, and
     # listed again at its mirror.
@@ -382,36 +379,32 @@ def _cmd_sato_tate(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> in
     p_max = args.p_max if args.p_max is not None else table.N
     samples = satotate.angles_from_table(table, p_min=args.p_min, p_max=p_max)
     hist = satotate.st_histogram(samples, cfg.bins)
-    if cfg.format == "csv":
-        n = hist.sample_size
-        records = [
-            {
-                "bin_lo": _f(hist.edges[i]),
-                "bin_hi": _f(hist.edges[i + 1]),
-                "observed": hist.observed[i],
-                "expected": _f(n * hist.expected_mass[i]),
-            }
-            for i in range(cfg.bins)
-        ]
-        emit(records, ["bin_lo", "bin_hi", "observed", "expected"], "csv", out)
-        return 0
-    payload: dict[str, Any] = {
+    edges = [_f(e) for e in hist.edges]
+    rows = [
+        {
+            "bin_lo": edges[i],
+            "bin_hi": edges[i + 1],
+            "observed": hist.observed[i],
+            "expected": _f(hist.sample_size * hist.expected_mass[i]),
+        }
+        for i in range(cfg.bins)
+    ]
+    document: dict[str, Any] = {
         "bins": cfg.bins,
         "samples": hist.sample_size,
-        "edges": [_f(e) for e in hist.edges],
+        "edges": edges,
         "observed": list(hist.observed),
         "expected_mass": [_f(m) for m in hist.expected_mass],
         "chi_square": _f(hist.chi_square),
         "p_value": _f(hist.p_value),
     }
     if args.u_layer is not None:
-        payload["u_layer"] = args.u_layer
-        payload["u_threshold"] = _f(args.u_threshold)
-        payload["u_proportion"] = _f(
+        document["u_layer"] = args.u_layer
+        document["u_threshold"] = _f(args.u_threshold)
+        document["u_proportion"] = _f(
             satotate.chebyshev_magnitude_proportion(samples, args.u_layer, args.u_threshold)
         )
-    out.write(json.dumps(payload, separators=(",", ":")))
-    out.write("\n")
+    _emit_document(document, rows, ["bin_lo", "bin_hi", "observed", "expected"], cfg.format, out)
     return 0
 
 
@@ -419,68 +412,41 @@ def _cmd_predict(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     pred = satotate.heuristic_prediction(_float_X(cfg), cfg.m_max, cfg.C)
     if not math.isfinite(pred.total):
         raise ValueError("the estimate overflows a float; lower X or C")
-    if cfg.format == "csv":
-        records = [{"m": m, "estimate": _f(v)} for m, v in pred.layers]
-        emit(records, ["m", "estimate"], "csv", out)
-        return 0
-    payload = {
-        "X": _f(pred.X),
-        "C": _f(pred.C),
-        "layers": [{"m": m, "estimate": _f(v)} for m, v in pred.layers],
-        "total": _f(pred.total),
-    }
-    out.write(json.dumps(payload, separators=(",", ":")))
-    out.write("\n")
+    layers = [{"m": m, "estimate": _f(v)} for m, v in pred.layers]
+    document = {"X": _f(pred.X), "C": _f(pred.C), "layers": layers, "total": _f(pred.total)}
+    _emit_document(document, layers, ["m", "estimate"], cfg.format, out)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     _float_X(cfg)
     table = _build_table(cfg)
-    deligne = verify_deligne(table)
-    omitted = survey_mod.omitted_values_check(table)
-    parity_bad = [
-        n for n, t in table.iter_records() if (t % 2 == 1) != tau_parity(n)
-    ]
-    reduction = survey_mod.reduction_report(cfg.X, table, cfg.x_max, workers=cfg.workers)
+    violations = {
+        "deligne_violations": [[p, str(t)] for p, t in verify_deligne(table)],
+        "omitted_violations": [[n, str(t)] for n, t in survey_mod.omitted_values_check(table)],
+        "parity_mismatches": [
+            n for n, t in table.iter_records() if (t % 2 == 1) != tau_parity(n)
+        ],
+    }
+    reduction = survey_mod.reduction_report(
+        cfg.X, table, cfg.x_max, workers=cfg.workers, ceiling=cfg.scan_ceiling
+    )
+    head = {"X": str(cfg.X), "N": table.N, "x_max": cfg.x_max, "count": reduction.survey.count}
     terms = {k: _f(v) for k, v in reduction.survey.terms.items()}
     terms["e2_windowed"] = reduction.e2_windowed
     terms["e4_windowed"] = reduction.e4_windowed
-    payload = {
-        "X": str(cfg.X),
-        "N": table.N,
-        "x_max": cfg.x_max,
-        "count": reduction.survey.count,
+    document = {
+        **head,
         "primes": [str(ell) for ell in reduction.survey.primes],
         "terms": terms,
         "windowed": True,
         "truncated": reduction.survey.truncated,
         "caveat": reduction.survey.caveat,
-        "deligne_violations": [[p, str(t)] for p, t in deligne],
-        "omitted_violations": [[n, str(t)] for n, t in omitted],
-        "parity_mismatches": parity_bad,
+        **violations,
     }
-    violations = bool(deligne or omitted or parity_bad)
-    if cfg.format == "json":
-        out.write(json.dumps(payload, separators=(",", ":")))
-        out.write("\n")
-    else:
-        record = {
-            "X": payload["X"],
-            "N": payload["N"],
-            "x_max": payload["x_max"],
-            "count": payload["count"],
-            "x_9_10_log_x": terms["x_9_10_log_x"],
-            "x_13_22": terms["x_13_22"],
-            "x_6_11": terms["x_6_11"],
-            "e2_windowed": terms["e2_windowed"],
-            "e4_windowed": terms["e4_windowed"],
-            "deligne_violations": len(deligne),
-            "omitted_violations": len(omitted),
-            "parity_mismatches": len(parity_bad),
-        }
-        emit([record], list(record.keys()), "csv", out)
-    return 1 if violations else 0
+    row = {**head, **terms, **{name: len(found) for name, found in violations.items()}}
+    _emit_document(document, [row], list(row), cfg.format, out)
+    return 1 if any(violations.values()) else 0
 
 
 _HANDLERS = {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ResourceLimitError
-from .primes import is_prime
+from .primes import is_prime, is_square
 
 # Widest per-x candidate run a single call may scan (resource guard, not a
 # correctness parameter: the enumerated set never depends on it).
@@ -155,7 +155,7 @@ def exact_count(
     for x in range(1, x_max + 1):
         central, y_lo, y_hi = _y_band(kind, X, x, ceiling)
         n = 2 * (y_hi - y_lo + 1) - (y_lo == 0)
-        if math.isqrt(central) ** 2 == central:
+        if is_square(central):
             n -= 2
         if kind.in_small_regime(x, X):
             counts["small"] += n

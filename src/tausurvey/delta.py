@@ -16,7 +16,6 @@ loop is needed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
@@ -33,7 +32,7 @@ from decimal import (
 from typing import Iterator
 
 from .errors import ResourceLimitError
-from .primes import cached_primes
+from .primes import cached_primes, is_square
 
 # Series builds beyond this order are refused (memory/time guard, checked
 # before any allocation).  Measured build time / peak RSS of a whole process
@@ -162,10 +161,7 @@ def tau_parity(n: int) -> bool:
     """True iff tau(n) is odd, i.e. n is an odd square."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n % 2 == 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
+    return n % 2 == 1 and is_square(n)
 
 
 def verify_deligne(table: TauTable) -> list[tuple[int, int]]:

@@ -47,8 +47,9 @@ def tau_of(n: int, table: TauTable) -> int:
     """tau(n) for any n whose prime factors are all covered by the table.
 
     Factors n by trial division against the sieved primes up to table.N,
-    evaluates each prime power by the recurrence, and multiplies.  Raises
-    OutOfRangeError when some prime factor exceeds table coverage.
+    evaluates each prime power by the recurrence, and multiplies.  The sieve
+    has already proven the factors prime, so they are not tested again.
+    Raises OutOfRangeError when some prime factor exceeds table coverage.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -57,7 +58,7 @@ def tau_of(n: int, table: TauTable) -> int:
         raise OutOfRangeError(f"n={n} has a prime factor beyond table coverage N={table.N}")
     result = 1
     for p, e in factors.items():
-        result *= tau_prime_power(table.tau(p), p, e)
+        result *= lucas_u(table.tau(p), p ** 11, e + 1)
     return result
 
 

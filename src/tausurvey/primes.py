@@ -122,6 +122,7 @@ def jacobi_symbol(a: int, n: int) -> int:
 
 
 def is_square(n: int) -> bool:
+    """True iff n is the square of an integer (0 and 1 included), by isqrt."""
     if n < 0:
         return False
     r = math.isqrt(n)

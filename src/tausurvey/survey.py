@@ -348,11 +348,17 @@ def omitted_values_check(table: TauTable) -> list[tuple[int, int]]:
 
 
 def reduction_report(
-    X: int, table: TauTable, x_max: int, *, workers: int = 1
+    X: int,
+    table: TauTable,
+    x_max: int,
+    *,
+    workers: int = 1,
+    ceiling: int = curves.FULL_SCAN_CEILING,
 ) -> ReductionReport:
     """Observed S(X) side by side with the analytic terms and the windowed
-    near-point tail counts of both curve families."""
+    near-point tail counts of both curve families; ceiling is the per-x scan
+    ceiling of those counts."""
     base = survey(X, table, workers=workers)
-    e2 = curves.window_count(curves.CurveKind.DEG11, X, x_max)
-    e4 = curves.window_count(curves.CurveKind.DEG22, X, x_max)
+    e2 = curves.window_count(curves.CurveKind.DEG11, X, x_max, ceiling=ceiling)
+    e4 = curves.window_count(curves.CurveKind.DEG22, X, x_max, ceiling=ceiling)
     return ReductionReport(base, x_max, e2, e4)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import multiprocessing
@@ -162,6 +163,76 @@ def test_golden_report():
     assert payload["windowed"] is True
 
 
+# Every subcommand in both formats: exit code and sha256 of stdout, pinned so a
+# change to how records are built or written cannot move a byte.
+FROZEN_STDOUT = [
+    ('tau --max 50', 'json', 0,
+     '50e79273df88de50c225f2e2d51848f13938ee6a862277ae69d6ead949efefef'),
+    ('tau --max 50', 'csv', 0,
+     'e1667deab56cc09840ccd8ce4d17b65a44bfdc12a998f4c28b885eabdd79c39b'),
+    ('tau --n 251 --square --N 300', 'json', 0,
+     '816ecbdc7e9305aaefda0d72f67d25f2b3b3ad1270d247fc98b356759c10b0d6'),
+    ('tau --n 251 --square --N 300', 'csv', 0,
+     '816ecbdc7e9305aaefda0d72f67d25f2b3b3ad1270d247fc98b356759c10b0d6'),
+    ('parity --n 9', 'json', 0,
+     '9edb68e45c76037aa132e18626dc7bbfa43e1b01858f9c35b080bde7fb85d53c'),
+    ('parity --n 9', 'csv', 0,
+     'cbe7c65d9435c49b0410beb51303238d49e7b449910cb3e4f2c8e2e7797c9d4c'),
+    ('survey --X 1e26 --N 300', 'json', 0,
+     '50de649c68609f6f97bd78b7f021d1117bd0863980d3e7c91d5ec5a6867a4d96'),
+    ('survey --X 1e26 --N 300', 'csv', 0,
+     '10414fdf91a492d97416b2faf58f55a87e62ee6bcd6b2be94f9b5c432e4b4f6b'),
+    ('survey --X 1e6 --N 300', 'json', 0,
+     '242ecadee0163e8a6e2c8dcc1d6f8e0cf820d5616004512a3cfede26a97e41d7'),
+    ('survey --X 1e6 --N 300', 'csv', 0,
+     '3ae7f16ac898c28897f4bb20450b318ff47ab27ca2622920ede8b1012adea2af'),
+    ('near-points --kind deg22 --X 10000 --x-min 1 --x-max 12', 'json', 0,
+     '40421e843cfc965ed1b8aff3fdf1dd7101c59e70f616bad6593eb4c1009aac0b'),
+    ('near-points --kind deg22 --X 10000 --x-min 1 --x-max 12', 'csv', 0,
+     'f2644d024e5393324c5d8887da167fcb5eb78f9423aa7b1556a663d4e7f3a8dd'),
+    ('count --kind deg11 --X 1000 --x-max 20', 'json', 0,
+     '7237f26089f3bd2189b590c276d4406214c342384a1752b2f6ae42cc25bf751b'),
+    ('count --kind deg11 --X 1000 --x-max 20', 'csv', 0,
+     '23b54ee6dba285ef36898c1eeb12818be45fdc965bccc75ff43f9e2f60c22248'),
+    ('abc --kind deg11 --X 1000 --x-min 1 --x-max 6 --epsilon 0.5 --C 1', 'json', 0,
+     '52742d8e8975ca7b66d70ac7d1cdaf71d02b246a02c4dbb9c151c850cbff44c3'),
+    ('abc --kind deg11 --X 1000 --x-min 1 --x-max 6 --epsilon 0.5 --C 1', 'csv', 0,
+     '9bb9a88c549b7abd3a7bd9f45b588f4a5aede10f705e828b024a43f7f6e251c9'),
+    ('abc --kind deg22 --X 10000 --x-min 1 --x-max 12', 'json', 0,
+     '67f7cf96767cbb0fc780723d75eef95858e2d21d4bd3d73b54951d62af5c405d'),
+    ('abc --kind deg22 --X 10000 --x-min 1 --x-max 12', 'csv', 0,
+     'bb9f8dd29e3d14baa71479af05fdab507ab1204b18062a73c9e2041bcf21fe7d'),
+    ('sato-tate --N 2000 --bins 8', 'json', 0,
+     'ad06b65ca754f50f5ff5b1326693060a9548ed8da63cb73d02450d5944b45784'),
+    ('sato-tate --N 2000 --bins 8', 'csv', 0,
+     '872a082d1587204d04615bb3b76596c8b2082f649f65f5c4a718084a3a4c597c'),
+    ('sato-tate --N 2000 --bins 8 --u-layer 2 --u-threshold 0.5', 'json', 0,
+     'f280e70ad050a8ab88b5fd65382fe735e7261d5b66620348a2a8d134a503783b'),
+    ('sato-tate --N 2000 --bins 8 --u-layer 2 --u-threshold 0.5', 'csv', 2,
+     'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('predict --X 1e22 --m-max 3 --C 1', 'json', 0,
+     'dcb0b0b005d2efa239158ef9ce985ce85fbef62a18e1755e0f058cbd76157457'),
+    ('predict --X 1e22 --m-max 3 --C 1', 'csv', 0,
+     '484d833dad276d282b133ce73b6d6cc7a20be1f19501f08a5f2a6c5327dd5ea6'),
+    ('report --X 1e6 --N 1000 --x-max 5', 'json', 0,
+     'd0b2f5e10a1669a4704ec0964cef2133cd277a2cbe642e1850b03ddbf9625ad6'),
+    ('report --X 1e6 --N 1000 --x-max 5', 'csv', 0,
+     '0dc0f18033ca3ae6dad08a33c3dd989d55d1e5133313bd1464709ec1413c5b34'),
+    ('count --kind deg22 --X 10000 --x-max 12', 'json', 0,
+     '04cb48b43513e8a1798c9fd8ca3052db4b43b5857e6f5c83cadf699eebbe24d8'),
+    ('count --kind deg22 --X 10000 --x-max 12', 'csv', 0,
+     '6906d205eab30a68ac7e810b9022b2e64d29daeeec1bde8f8f6b38b74da7eda4'),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fmt, code, digest", FROZEN_STDOUT, ids=[f"{c}-{f}" for c, f, *_ in FROZEN_STDOUT]
+)
+def test_stdout_bytes_frozen(command, fmt, code, digest, no_env):
+    got_code, out, _ = run(command.split() + ["--format", fmt])
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def test_golden_self_test():
     out = io.StringIO()
     code = dispatch(["--self-test"], out, io.StringIO())
@@ -221,6 +292,15 @@ def test_resource_limit_exit():
     )
     assert code == 3
     assert "resource limit" in err
+
+
+def test_report_honours_scan_ceiling(no_env):
+    code, out, err = run(
+        ["report", "--X", "1e6", "--N", "500", "--x-max", "3", "--scan-ceiling", "1"]
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_out_of_range_exit():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from tausurvey import hecke
 from tausurvey.errors import OutOfRangeError
 from tausurvey.hecke import (
     admissible_exponents,
@@ -35,6 +36,14 @@ def test_rejects_composite_p():
         tau_prime_power(1, 6, 2)
     with pytest.raises(ValueError):
         tau_prime_power(1, 7, -1)
+
+
+def test_tau_of_does_not_retest_its_sieved_primes(table10k, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called on a sieved prime")
+
+    monkeypatch.setattr(hecke, "is_prime", refuse)
+    assert tau_of(251 ** 2, table10k) == LEHMER_PRIME_SQUARE
 
 
 def test_tau_of_basics(table10k):
