@@ -43,7 +43,11 @@ class AbcTriple:
 
 
 def _rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
-    """One Brent-rho attempt on odd composite n; returns (factor, iterations)."""
+    """Brent-rho attempts on odd composite n; returns (factor, iterations).
+
+    Every step of the map y -> y^2 + c counts as one iteration, the walk that
+    opens each round included, and no more than `budget` are taken.
+    """
     used = 0
     while used < budget:
         y = rng.randrange(1, n)
@@ -53,15 +57,18 @@ def _rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
         ys = x = y
         while g == 1 and used < budget:
             x = y
-            for _ in range(r):
+            steps = min(r, budget - used)
+            for _ in range(steps):
                 y = (y * y + c) % n
+            used += steps
             k = 0
             while k < r and g == 1 and used < budget:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k, budget - used)
+                for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                used += min(m, r - k)
+                used += steps
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -91,9 +98,12 @@ def radical_budgeted(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> tup
 
     A perfect square n = r^2 is replaced by r first, since rad(r^2) = rad(r)
     and trial division of r^2 only stops early once it passes r, not
-    sqrt(r).  Trial division runs up to TRIAL_LIMIT; remaining composite
-    cofactors go through Brent rho with a deterministic RNG seeded by `seed`,
-    spending at most `budget` iterations in total.  When some cofactor
+    sqrt(r).  Trial division runs up to TRIAL_LIMIT, in factor_trial's
+    stages: the shared sieve grows past its first stage only for a cofactor
+    that can still have a factor there, so a leg that splits into small
+    primes never sieves toward TRIAL_LIMIT.  Remaining composite cofactors
+    go through Brent rho with a deterministic RNG seeded by `seed`, spending
+    at most `budget` steps of the rho map in total.  When some cofactor
     resists, it is multiplied into the result as-is, so the returned value is
     an upper bound on the true radical and the flag is False.  Cofactors
     surviving the probable-prime test are treated as prime.  The square peel

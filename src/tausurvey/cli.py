@@ -10,7 +10,9 @@ predict --X alone parses a real number instead of an integer.
 emit is the only serializer: each subcommand builds its records once and
 hands them to emit, which writes JSON lines or CSV rows.  survey, report,
 sato-tate and predict write one JSON document, and their CSV holds its flat
-rows; tau --n alone prints a bare integer in either format.  Big integers are always emitted as decimal strings, floats are rounded to 12
+rows; tau --n alone prints a bare integer in either format.  abc lists each
+record at both points of a mirror pair, and emit encodes it once.  Big
+integers are always emitted as decimal strings, floats are rounded to 12
 significant digits before serialization, and record streams are canonically
 sorted, so identical configurations reproduce identical bytes.  The
 --workers knob must be positive and defaults to the usable CPU count; survey
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -189,18 +192,44 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def emit(records: list[dict[str, Any]], fieldnames: list[str], fmt: str, out: IO[str]) -> None:
+def emit(
+    records: list[dict[str, Any]], fieldnames: list[str], fmt: str, out: IO[str], *,
+    mirrored: bool = False,
+) -> None:
     """Write records as JSON lines or CSV with a fixed field order; the one
-    place that serializes stdout."""
+    place that serializes stdout.
+
+    mirrored is for a list that names each record object twice, as abc lists
+    one record at both points of a mirror pair: the record's encoded line is
+    kept from its first listing, written again at its second and dropped
+    there, so each record is encoded once and only the lines still waiting
+    for their second listing are held.
+    """
     if fmt == "json":
-        for record in records:
-            out.write(json.dumps(record, separators=(",", ":")))
-            out.write("\n")
+        def encode(record: dict[str, Any]) -> str:
+            return json.dumps(record, separators=(",", ":")) + "\n"
     else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for record in records:
+        row = io.StringIO()
+        writer = csv.writer(row, lineterminator="\n")
+
+        def encode(record: dict[str, Any]) -> str:
+            row.seek(0)
+            row.truncate()
             writer.writerow([_csv_cell(record[name]) for name in fieldnames])
+            return row.getvalue()
+
+        csv.writer(out, lineterminator="\n").writerow(fieldnames)
+    if not mirrored:
+        for record in records:
+            out.write(encode(record))
+        return
+    # Lines by id(record): the list keeps every record alive, so no id is reused.
+    pending: dict[int, str] = {}
+    for record in records:
+        line = pending.pop(id(record), None)
+        if line is None:
+            line = pending[id(record)] = encode(record)
+        out.write(line)
 
 
 def _emit_document(
@@ -342,7 +371,7 @@ def _cmd_abc(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
             triple = abctriples.from_near_point(pt, budget=cfg.budget, seed=cfg.seed)
             record = by_defect[pt.k] = abc_record(triple, cfg.epsilon, cfg.C)
         records.append(record)
-    emit(records, abc_fields(cfg.epsilon), cfg.format, out)
+    emit(records, abc_fields(cfg.epsilon), cfg.format, out, mirrored=True)
     return 0
 
 

@@ -8,7 +8,8 @@ always verified and corrected with integer arithmetic.
 Every caller gets its primes from `cached_primes`, which serves them out of one
 process-wide sieve.  The sieve only grows, at least doubling its top each time a
 request goes past it, so a process sieves O(log(largest limit)) times however
-many distinct limits it asks for.
+many distinct limits it asks for.  factor_trial asks for its primes in
+stages, so trial division sieves only as far as its cofactors reach.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ _sieve_primes: list[int] = []
 _sieve_top = 1
 
 
-def cached_primes(limit: int) -> Iterator[int]:
-    """Iterator over the primes <= limit, ascending, from the shared sieve.
+def cached_primes(limit: int, above: int = 0) -> Iterator[int]:
+    """Iterator over the primes p with above < p <= limit, ascending, from the
+    shared sieve.
 
     A limit above the sieve's top re-sieves up to max(limit, 2 * top), so the
     sieve never holds more than twice the largest limit asked for.  Other
@@ -83,7 +85,8 @@ def cached_primes(limit: int) -> Iterator[int]:
         top = max(limit, 2 * _sieve_top)
         _sieve_primes = sieve_primes(top)
         _sieve_top = top
-    return islice(_sieve_primes, bisect_right(_sieve_primes, limit))
+    start = bisect_right(_sieve_primes, above) if above > 1 else 0
+    return islice(_sieve_primes, start, bisect_right(_sieve_primes, limit))
 
 
 def _mr_composite_witness(n: int, a: int) -> bool:
@@ -244,25 +247,42 @@ def iroot_ceil(n: int, k: int) -> int:
     return r if r ** k == n else r + 1
 
 
+# Top of factor_trial's first stage of primes; each later stage doubles it.
+TRIAL_FIRST_STAGE = 4096
+
+
 def factor_trial(n: int, limit: int) -> tuple[dict[int, int], int]:
     """Trial-divide n by sieved primes <= limit.
 
     Returns (exponents of primes found, remaining cofactor).  The cofactor is
     1, a prime > limit, or a composite with no prime factor <= limit.
+
+    The primes are taken in stages, so the shared sieve grows only as far as
+    a cofactor needs.  The first stage tries the primes up to
+    min(limit, TRIAL_FIRST_STAGE).  When a stage runs out of primes while
+    the cofactor m can still have a factor past its top, the next stage
+    reaches min(limit, isqrt(m), twice that top).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     found: dict[int, int] = {}
     m = n
-    for p in cached_primes(limit):
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            found[p] = e
+    done, top = 1, min(limit, TRIAL_FIRST_STAGE)  # every prime <= done is tried
+    while top > done:
+        for p in cached_primes(top, done):
+            if p * p > m:
+                break  # m is 1 or a prime
+            if m % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                found[p] = e
+        else:
+            # The stage ran out of primes: the next one reaches as far as m needs.
+            done, top = top, min(limit, math.isqrt(m), 2 * top)
+            continue
+        break
     if m > 1 and m <= limit:
         found[m] = found.get(m, 0) + 1
         m = 1

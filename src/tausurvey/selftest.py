@@ -132,7 +132,10 @@ def abc_output_pair(
     C: float = 1.0,
 ) -> tuple[str, str]:
     """(stdout of `tausurvey abc` on 1 <= x <= x_max, the same records built
-    from naive_abc_triples); every knob that shapes the output is a flag."""
+    from naive_abc_triples); every knob that shapes the output is a flag.
+
+    The expected side builds one record per point and writes it through
+    emit without `mirrored`, so the mirror memo runs on one side only."""
     from . import cli  # imported here: cli imports this module
 
     argv = ["abc", "--kind", kind.value, "--X", str(X), "--x-min", "1", "--x-max", str(x_max),

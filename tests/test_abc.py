@@ -93,6 +93,50 @@ def test_radical_budget_exhaustion():
     assert rad == n  # squarefree, so the true radical is n itself
 
 
+class _MapStep(int):
+    """An int that counts every addition it takes part in.
+
+    Drawn as the rho constant c, it counts the steps of y -> y*y + c (the
+    walk adds c once per step and nowhere else); drawn as the start y, it
+    adds nothing, since y*y is a plain int.
+    """
+
+    steps = 0
+
+    def __add__(self, other):
+        _MapStep.steps += 1
+        return int(self) + int(other)
+
+    __radd__ = __add__
+
+
+class _CountingRandom(random.Random):
+    def randrange(self, *args):
+        return _MapStep(super().randrange(*args))
+
+
+@pytest.mark.parametrize("budget", [1_000, 50_000, 200_000])
+def test_rho_takes_at_most_budget_map_steps(budget):
+    # Both primes near 1e12: rho needs about 1e6 steps, past every budget here.
+    p = _next_prime(10**12)
+    q = _next_prime(10**12 + 10**6)
+    _MapStep.steps = 0
+    factor, used = abctriples._rho_brent(p * q, _CountingRandom(0), budget)
+    assert factor is None
+    assert _MapStep.steps == used == budget
+
+
+def test_rho_map_step_counter_sees_every_step():
+    # Walk y -> y*y + c by hand with a counted c, and check the count.
+    c = _MapStep(7)
+    _MapStep.steps = 0
+    y = 3
+    for _ in range(10):
+        y = (y * y + c) % 1_000_003
+    assert _MapStep.steps == 10
+    assert type(y) is int
+
+
 def test_radical_deterministic_seed():
     n = 1000003 * 1000033 * 7
     assert radical_budgeted(n, seed=5) == radical_budgeted(n, seed=5)

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -8,8 +9,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tausurvey
 from tausurvey import cli, survey as survey_mod
@@ -622,3 +626,134 @@ def test_pooled_self_test_prints_each_line_once():
     assert lines[-1] == "self-test OK"
     assert len(lines) == len(set(lines))
     assert any("2-worker pool" in line for line in lines)
+
+
+# ----------------------- emit against its own oracle -----------------------
+
+EMIT_FIELDS = ["a", "rad", "rad_complete", "quality", "abc_ok"]
+
+
+def _emit_record(i):
+    return {
+        "a": str(-(7**i)),
+        "rad": str(10**i + 1),
+        "rad_complete": i % 3 != 0,
+        "quality": None if i % 3 == 0 else 1.0 + 1 / (i + 7),
+        "abc_ok": None if i % 4 == 0 else i % 2 == 0,
+    }
+
+
+def oracle_bytes(listing, fmt):
+    """The expected stdout, one listing at a time, with no use of cli.emit."""
+    if fmt == "json":
+        return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in listing)
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return f"{value:.12g}"
+        return str(value)
+
+    rows = [EMIT_FIELDS] + [[cell(r[name]) for name in EMIT_FIELDS] for r in listing]
+    text = io.StringIO()
+    for row in rows:
+        csv.writer(text, lineterminator="\n").writerow(row)
+    return text.getvalue()
+
+
+def emitted(listing, fmt, **kwargs):
+    out = io.StringIO()
+    cli.emit(listing, EMIT_FIELDS, fmt, out, **kwargs)
+    return out.getvalue()
+
+
+@pytest.fixture
+def dumps_calls(monkeypatch):
+    """Swap cli's json for a namespace holding only a counting dumps, as a
+    tracer does; yields the list of records dumped."""
+    calls = []
+
+    def dumps(record, **kwargs):
+        calls.append(record)
+        return json.dumps(record, **kwargs)
+
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=dumps))
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_mirrored_emit_of_a_palindromic_run(fmt, dumps_calls):
+    # The order abc lists one abscissa in: y from -Y up to Y, each record at
+    # -y and at +y.
+    records = [_emit_record(i) for i in range(6)]
+    listing = records[::-1] + records
+    assert emitted(listing, fmt, mirrored=True) == oracle_bytes(listing, fmt)
+    assert len(dumps_calls) == (6 if fmt == "json" else 0)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_mirrored_emit_of_a_record_listed_three_times(fmt):
+    one, two = _emit_record(1), _emit_record(2)
+    listing = [one, two, one, one, two]
+    assert emitted(listing, fmt, mirrored=True) == oracle_bytes(listing, fmt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=30), st.sampled_from(["json", "csv"]), st.booleans())
+def test_emit_matches_oracle_on_any_listing(picks, fmt, mirrored):
+    records = [_emit_record(i) for i in range(6)]
+    listing = [records[i] for i in picks]
+    assert emitted(listing, fmt, mirrored=mirrored) == oracle_bytes(listing, fmt)
+
+
+def test_unmirrored_emit_keeps_no_line(dumps_calls):
+    record = _emit_record(1)
+    assert emitted([record, record], "json") == oracle_bytes([record, record], "json")
+    assert dumps_calls == [record, record]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abc", "--kind", "deg11", "--X", "1000", "--x-max", "4"],
+        ["near-points", "--kind", "deg11", "--X", "1000", "--x-max", "4"],
+        ["tau", "--max", "20"],
+        ["count", "--kind", "deg11", "--X", "1000", "--x-max", "4"],
+        ["survey", "--X", "1e20", "--N", "300"],
+        ["predict", "--X", "1e20"],
+    ],
+)
+def test_only_abc_emits_mirrored(argv, monkeypatch):
+    flags = []
+    real = cli.emit
+
+    def spy(records, fieldnames, fmt, out, **kwargs):
+        flags.append(kwargs.get("mirrored", False))
+        return real(records, fieldnames, fmt, out, **kwargs)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    assert run(argv)[0] == 0
+    assert flags == [argv[0] == "abc"]
+
+
+def test_mirrored_emit_drops_each_line_at_its_second_listing():
+    # Ten abscissas of 200 mirror pairs, each line about 2 KB: kept lines
+    # would reach 4 MB, popped ones stay within one abscissa (400 KB).
+    class Sink:
+        def write(self, text):
+            pass
+
+    runs = []
+    for x in range(10):
+        records = [{"a": f"{x}-{i}-" + "7" * 2000} for i in range(200)]
+        runs += records[::-1] + records
+    tracemalloc.start()
+    try:
+        cli.emit(runs, ["a"], "json", Sink(), mirrored=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 from contextlib import contextmanager
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from tausurvey import primes
 from tausurvey.abctriples import TRIAL_LIMIT, radical_budgeted
-from tausurvey.primes import cached_primes, sieve_primes
+from tausurvey.primes import TRIAL_FIRST_STAGE, cached_primes, factor_trial, is_prime, sieve_primes
 from tausurvey.selftest import naive_primes
 
 ORACLE_TOP = 5000
@@ -130,3 +131,103 @@ def test_radical_matches_naive_small():
 def test_radical_straddles_trial_limit(n):
     assert 999_983 <= TRIAL_LIMIT < 1_000_003
     assert radical_budgeted(n) == (naive_radical(n), True)
+
+
+# -------------------------- staged trial division --------------------------
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _restore_sieve():
+    """Limits of 10^7 grow the shared sieve past 10^7; give the process its
+    sieve back after this module."""
+    with fresh_sieve():
+        yield
+
+
+def naive_factor_trial(n, limit):
+    """factor_trial's contract by plain trial division with 2 and every odd d:
+    the exponents of the primes <= limit, and what is left of n."""
+    found = {}
+    m = n
+    d = 2
+    while d <= limit and d * d <= m:
+        while m % d == 0:
+            found[d] = found.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if 1 < m <= limit:
+        found[m] = found.get(m, 0) + 1
+        m = 1
+    return found, m
+
+
+def split_at(factors, limit):
+    """factor_trial's answer for the product of the primes in factors."""
+    found, rest = {}, 1
+    for p in factors:
+        if p <= limit:
+            found[p] = found.get(p, 0) + 1
+        else:
+            rest *= p
+    return found, rest
+
+
+TRIAL_LIMITS = [1, 2, 3, 4095, 4096, 4097, 8191, TRIAL_LIMIT, 10**7]
+
+
+def _primes_around(t):
+    """The largest prime <= t (if any) and the smallest prime > t."""
+    below = t
+    while below > 1 and not is_prime(below):
+        below -= 1
+    above = t + 1
+    while not is_prime(above):
+        above += 1
+    return [above] if below < 2 else [below, above]
+
+
+# Stage tops a factorization can meet: the first stage, its doublings, and
+# the limits themselves; a prime on either side of each.
+STAGE_TOPS = sorted({TRIAL_FIRST_STAGE << k for k in range(12)} | set(TRIAL_LIMITS))
+EDGE_PRIMES = sorted({p for t in STAGE_TOPS for p in _primes_around(t)})
+EDGE_PAIRS = [(p, q) for i, p in enumerate(EDGE_PRIMES) for q in EDGE_PRIMES[i:] if p * q <= 10**14]
+
+
+@pytest.mark.parametrize("limit", TRIAL_LIMITS)
+def test_factor_trial_on_edge_squares_and_products(limit):
+    for p, q in EDGE_PAIRS:
+        assert factor_trial(p * q, limit) == split_at([p, q], limit), (p, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=10**14),
+        st.tuples(st.integers(1, 10**6), st.sampled_from(EDGE_PAIRS))
+        .map(lambda t: t[0] * t[1][0] * t[1][1])
+        .filter(lambda n: n <= 10**12),
+    ),
+    st.sampled_from(TRIAL_LIMITS),
+)
+def test_factor_trial_matches_naive_trial_division(n, limit):
+    assert factor_trial(n, limit) == naive_factor_trial(n, limit)
+
+
+def test_factor_trial_sieves_only_as_far_as_the_cofactor_needs():
+    with fresh_sieve():
+        assert factor_trial(19**11, TRIAL_LIMIT) == ({19: 11}, 1)
+        assert primes._sieve_top == TRIAL_FIRST_STAGE
+        assert factor_trial(2**40 * 4093, TRIAL_LIMIT) == ({2: 40, 4093: 1}, 1)
+        assert primes._sieve_top == TRIAL_FIRST_STAGE
+        assert factor_trial(999_983**2, TRIAL_LIMIT) == ({999_983: 2}, 1)
+        assert primes._sieve_top <= 2 * TRIAL_LIMIT
+        assert factor_trial(1_000_003**2, TRIAL_LIMIT) == ({}, 1_000_003**2)
+
+
+def test_abc_at_the_benchmark_size_sieves_at_most_8192():
+    # abc's legs at X = 4e6, x <= 150 never need a prime past 3,061.
+    from tausurvey.cli import dispatch
+
+    with fresh_sieve():
+        assert dispatch(["abc", "--kind", "deg11", "--X", "4e6", "--x-max", "150"], io.StringIO()) == 0
+        assert primes._sieve_top <= 8192

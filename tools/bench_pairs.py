@@ -17,12 +17,19 @@ is better, the base's Q3 - Q1, and the commit and src_sha256 each side
 reported, with `dirty`: whether `git status --porcelain` lists any change in
 that side's checkout (null when the root is not a git work tree).  A dirty
 side's commit is only the one its changes sit on.
+
+Each metric also says whether it passes the two benchmark rules:
+`meets_gain_rule`, the change wins at least 9 of every 10 pairs and its
+median gap exceeds the base's IQR (the bar for claiming a gain), and
+`within_bound`, the change's median is worse than the base's by at most the
+metric's `bound` in BENCHMARK.json, relative to the base's median.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -67,6 +74,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         wins = sum((c < b) if lower else (c > b) for b, c in zip(values["base"], values["change"]))
         base, change = quartiles(values["base"]), quartiles(values["change"])
+        gap = (base["median"] - change["median"]) * (1 if lower else -1)
+        iqr = base["q3"] - base["q1"]
+        worsening = -gap / abs(base["median"]) if base["median"] else (math.inf if gap < 0 else 0.0)
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -74,8 +84,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "change": change,
             "wins": wins,
             "pairs": len(pairs),
-            "median_gap": (base["median"] - change["median"]) * (1 if lower else -1),
-            "base_iqr": base["q3"] - base["q1"],
+            "median_gap": gap,
+            "base_iqr": iqr,
+            "meets_gain_rule": 10 * wins >= 9 * len(pairs) and gap > iqr,
+            "within_bound": worsening <= spec["bound"],
         }
     return out
 
