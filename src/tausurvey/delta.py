@@ -5,13 +5,15 @@ from the cube of the product: by Jacobi's identity
 
     prod (1 - q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2},
 
-raising that sparse series to the 8th power (three squarings) and shifting by
-one power of q yields tau(1..N).  All coefficients are exact integers.  The
-dense squarings use Kronecker substitution in base 10^w: coefficients are
-packed as fixed-width decimal slots into one Decimal, squared exactly by
-libmpdec (a number-theoretic transform at these sizes, so near-linear in N),
-and unpacked with a balanced-digit borrow pass, so no Python-level O(N^2)
-loop is needed.
+raising that sparse series to the 8th power and shifting by one power of q
+yields tau(1..N).  All coefficients are exact integers.  The cube series has
+only about sqrt(2N) terms, so its square (the 6th power) is summed pair by
+pair; the two dense squarings after it (6th -> 12th -> 24th power) use
+Kronecker substitution in base 10^w: coefficients are packed as fixed-width
+decimal slots into one Decimal, squared exactly by libmpdec (a
+number-theoretic transform at these sizes, so near-linear in N), and
+unpacked with a balanced-digit borrow pass, so no Python-level O(N^2) loop
+is needed.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from decimal import (
     Overflow,
     Rounded,
 )
+from itertools import islice
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -36,10 +39,10 @@ from .primes import cached_primes, is_square
 
 # Series builds beyond this order are refused (memory/time guard, checked
 # before any allocation).  Measured build time / peak RSS of a whole process
-# (Python 3.11.7, libmpdec 2.5.1, 2-core VM): N = 200k 1.8 s / 68 MiB,
-# 400k 4.3 s / 125 MiB, 1M 13.8 s / 380 MiB, 1.5M 15.6-18.2 s / 491 MiB,
-# 2M 29.7 s / 639 MiB.  The default covers the m = 1 survey window
-# (3X)^(1/11) <= N up to X of about 2.9e67.
+# that builds one table (Python 3.11.7, libmpdec 2.5.1, 2-core VM):
+# N = 200k 1.2-1.4 s / 85 MiB, 400k 2.7-3.7 s / 154 MiB, 1M 10.2-11.6 s /
+# 297 MiB, 1.5M 16.0-16.3 s / 425 MiB.  The default covers the m = 1 survey
+# window (3X)^(1/11) <= N up to X of about 2.9e67.
 SERIES_MAX_DEFAULT = 1_500_000
 
 # Exact integer arithmetic for the Kronecker squarings: unbounded precision,
@@ -91,6 +94,31 @@ def jacobi_series(order: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
+def _cube_series_square(top: int) -> list[int]:
+    """prod (1-q^n)^6 truncated to exponent <= top, as a dense list.
+
+    The square of the sparse Jacobi series, summed over its pairs of
+    nonzero terms: c_i^2 at 2 e_i and 2 c_i c_j at e_i + e_j for i < j.
+    """
+    terms = jacobi_series(top)
+    out = [0] * (top + 1)
+    for i, (e, c) in enumerate(terms):
+        if 2 * e > top:
+            break  # exponents ascend, so no later pair fits either
+        out[2 * e] += c * c
+        twice = 2 * c
+        for f, d in islice(terms, i + 1, None):
+            if e + f > top:
+                break
+            out[e + f] += twice * d
+    return out
+
+
+# Slots folded and formatted per batch, so the pack holds one Python object
+# per slot only for a batch at a time, never for the whole polynomial.
+_PACK_BATCH = 4096
+
+
 def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
     """Exact truncated square of a signed integer polynomial.
 
@@ -101,21 +129,37 @@ def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
     with a balanced-digit borrow pass.  The context traps Inexact and
     Rounded, so a product that does not fit raises instead of corrupting
     the coefficients.
+
+    The operand is packed as one Decimal: a borrow pass, low slot first,
+    folds the signs into base-10^w digits in [0, 10^w), and a borrow left
+    over at the top stands for -10^(w * slots), subtracted once.
     """
-    top_first = coeffs[max_exp::-1]  # terms above max_exp cannot reach the result
-    peak = max(max(top_first, default=0), -min(top_first, default=0))
+    low = coeffs[: max_exp + 1]  # terms above max_exp cannot reach the result
+    peak = max(max(low, default=0), -min(low, default=0))
     if peak == 0:
         return [0] * (max_exp + 1)
     # |product coefficient| <= len * peak^2 < 10^w / 2
-    w = len(str(2 * len(top_first) * peak * peak))
+    w = len(str(2 * len(low) * peak * peak))
 
-    slot = f"0{w}d"
-    zero = "0" * w
-    pos = Decimal("".join([format(c, slot) if c > 0 else zero for c in top_first]))
-    neg = Decimal("".join([format(-c, slot) if c < 0 else zero for c in top_first]))
-    del top_first
-    packed = _EXACT.subtract(pos, neg)
-    del pos, neg
+    slots = len(low)
+    full = 10**w
+    slot = f"%0{w}d"
+    borrow = False
+    batches = []
+    for start in range(0, slots, _PACK_BATCH):
+        digits = low[start : start + _PACK_BATCH]
+        for k, c in enumerate(digits):
+            c -= borrow
+            borrow = c < 0
+            digits[k] = c + full if borrow else c
+        digits.reverse()
+        batches.append(slot * len(digits) % tuple(digits))
+    del low, digits
+    batches.reverse()
+    packed = Decimal("".join(batches))
+    del batches
+    if borrow:
+        packed = _EXACT.subtract(packed, _EXACT.scaleb(1, w * slots))
     square = _EXACT.multiply(packed, packed)  # non-negative by construction
     del packed
     digits = str(square)
@@ -128,8 +172,7 @@ def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
     limbs = [int(digits[i - w : i]) for i in range(end, end - span, -w)]
     del digits
 
-    half = 5 * 10 ** (w - 1)
-    full = 10**w
+    half = full // 2
     carry = 0
     for k, limb in enumerate(limbs):
         limb += carry
@@ -139,7 +182,8 @@ def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
 
 
 def delta_coefficients(N: int, *, series_max: int = SERIES_MAX_DEFAULT) -> TauTable:
-    """Exact tau(1..N) via three squarings of the cube series.
+    """Exact tau(1..N): the pairwise square of the cube series, then two
+    Kronecker squarings.
 
     Raises ResourceLimitError when N exceeds series_max.
     """
@@ -148,10 +192,7 @@ def delta_coefficients(N: int, *, series_max: int = SERIES_MAX_DEFAULT) -> TauTa
     if N > series_max:
         raise ResourceLimitError(f"series order {N} exceeds configured maximum {series_max}")
     top = N - 1  # exponent budget before the q-shift
-    dense = [0] * (top + 1)
-    for e, c in jacobi_series(top):
-        dense[e] = c
-    power = _square_truncated(dense, top)  # prod^6
+    power = _cube_series_square(top)  # prod^6
     power = _square_truncated(power, top)  # prod^12
     power = _square_truncated(power, top)  # prod^24
     return TauTable(N, tuple(power))

@@ -7,9 +7,10 @@ always verified and corrected with integer arithmetic.
 
 Every caller gets its primes from `cached_primes`, which serves them out of one
 process-wide sieve.  The sieve only grows, at least doubling its top each time a
-request goes past it, so a process sieves O(log(largest limit)) times however
-many distinct limits it asks for.  factor_trial asks for its primes in
-stages, so trial division sieves only as far as its cofactors reach.
+request goes past it, and each growth sieves only the new segment, so a process
+sieves each number up to its largest limit once, however many distinct limits
+it asks for.  factor_trial asks for its primes in stages, so trial division
+sieves only as far as its cofactors reach.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from enum import Enum
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterator
 
 
@@ -52,20 +53,29 @@ _MR_BASE_TABLE = (
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit via a bytearray Eratosthenes sieve."""
-    if limit < 2:
+def sieve_primes(limit: int, above: int = 0) -> list[int]:
+    """All primes p with above < p <= limit, ascending, via a bytearray
+    Eratosthenes sieve of that interval alone."""
+    return _sieve_interval(max(above, 1) + 1, limit)
+
+
+def _sieve_interval(lo: int, hi: int) -> list[int]:
+    """Primes in [lo, hi] for lo >= 2, crossed off by the primes up to
+    isqrt(hi), which a sieve of [2, isqrt(hi)] supplies.
+
+    It recurses under this private name, so a counter wrapped around
+    sieve_primes sees one call per interval asked for."""
+    if hi < lo:
         return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, f in enumerate(flags) if f]
+    flags = bytearray(b"\x01") * (hi - lo + 1)  # flags[n - lo] stands for n
+    for p in _sieve_interval(2, math.isqrt(hi)):
+        start = max(p * p, -(-lo // p) * p)  # first multiple >= lo that p crosses off
+        if start <= hi:
+            flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
+    return list(compress(range(lo, hi + 1), flags))
 
 
-# The shared sieve: every prime <= _sieve_top, ascending.  A regrow rebinds
+# The shared sieve: every prime <= _sieve_top, ascending.  A growth rebinds
 # _sieve_primes to a new list and never mutates the old one, so an iterator
 # handed out earlier stays valid while a caller inside its loop grows the sieve.
 _sieve_primes: list[int] = []
@@ -76,14 +86,16 @@ def cached_primes(limit: int, above: int = 0) -> Iterator[int]:
     """Iterator over the primes p with above < p <= limit, ascending, from the
     shared sieve.
 
-    A limit above the sieve's top re-sieves up to max(limit, 2 * top), so the
-    sieve never holds more than twice the largest limit asked for.  Other
-    limits are served from the primes already held, without a copy.
+    A limit above the sieve's top grows it to max(limit, 2 * top) by sieving
+    only the new segment (top, new top], so the sieve never holds more than
+    twice the largest limit asked for and a growth never sieves again the
+    numbers already held.  Other limits are served from the primes already
+    held, without a copy.
     """
     global _sieve_primes, _sieve_top
     if limit > _sieve_top:
         top = max(limit, 2 * _sieve_top)
-        _sieve_primes = sieve_primes(top)
+        _sieve_primes = _sieve_primes + sieve_primes(top, _sieve_top)
         _sieve_top = top
     start = bisect_right(_sieve_primes, above) if above > 1 else 0
     return islice(_sieve_primes, start, bisect_right(_sieve_primes, limit))

@@ -17,7 +17,7 @@ from typing import IO
 
 from .abctriples import DEFAULT_BUDGET, AbcTriple, from_near_point
 from .curves import CurveKind, NearPoint, exact_count, near_points
-from .delta import TauTable, delta_coefficients, tau_parity
+from .delta import TauTable, _cube_series_square, delta_coefficients, tau_parity
 from .hecke import is_ordinary, tau_of, tau_prime_power
 from .primes import PrimalityVerdict, cached_primes, classify_prime
 from .satotate import angle_cdf
@@ -33,16 +33,20 @@ from .survey import (
 )
 
 
-def naive_delta_coefficients(N: int) -> list[int]:
-    """tau(1..N) by multiplying out prod (1-q^n)^24 one factor at a time."""
-    top = N - 1
+def naive_eta_power(power: int, top: int) -> list[int]:
+    """prod (1-q^n)^power up to q^top, multiplied out one factor at a time."""
     poly = [0] * (top + 1)
     poly[0] = 1
     for n in range(1, top + 1):
-        for _ in range(24):
+        for _ in range(power):
             for i in range(top, n - 1, -1):
                 poly[i] -= poly[i - n]
     return poly
+
+
+def naive_delta_coefficients(N: int) -> list[int]:
+    """tau(1..N) by multiplying out prod (1-q^n)^24 one factor at a time."""
+    return naive_eta_power(24, N - 1)
 
 
 def naive_primes(limit: int) -> list[int]:
@@ -180,6 +184,13 @@ def run_self_test(stream: IO[str]) -> bool:
     )
     table = delta_coefficients(500)
     check(list(table.coeffs) == naive_delta_coefficients(500), "series vs naive 24th-power product, N=500")
+    sixth = naive_eta_power(6, 600)
+    triangular = [k * (k + 1) // 2 for k in range(35)]
+    orders = {n for t in triangular for n in (t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1) if 1 <= n <= 601}
+    check(
+        all(_cube_series_square(n - 1) == sixth[:n] for n in orders),
+        "sparse 6th power vs naive product, N at T_k, T_k +- 1, 2T_k, 2T_k +- 1 up to 601",
+    )
     check(
         all((table.tau(n) % 2 == 1) == tau_parity(n) for n in range(1, 501)),
         "parity of tau(n) vs odd-square rule, n <= 500",

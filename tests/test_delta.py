@@ -4,10 +4,13 @@ import random
 from decimal import Decimal, Inexact, Rounded
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tausurvey.delta import (
     _EXACT,
     TauTable,
+    _cube_series_square,
     _square_truncated,
     delta_coefficients,
     jacobi_series,
@@ -16,7 +19,7 @@ from tausurvey.delta import (
 )
 from tausurvey.errors import ResourceLimitError
 from tausurvey.primes import cached_primes
-from tausurvey.selftest import naive_delta_coefficients
+from tausurvey.selftest import naive_delta_coefficients, naive_eta_power
 
 
 def test_jacobi_small_orders():
@@ -77,14 +80,34 @@ SQUARE_CASES = {
     "all negative": [-(10**40), -1, -(10**39) - 7, -2, -(10**40)],
     "alternating extremes": [(-1) ** i * 10**40 for i in range(12)],
     "slot boundary": [10**40 - 1, -(10**40) + 1, 10**40 - 1],
+    # The sign fold borrows from the slot above each negative one.
+    "borrow through zeros": [1, 0, 0, -1],
+    "negative constant then zeros": [-1, 0, 0, 0],
+    "negative top slot": [0, -1],
+    "all minus one": [-1] * 9,
+    "negative power of ten": [3, -(10**20), 0, 10**20, -(10**20)],
+    "negatives above a positive prefix": [2, 1, -3, -(10**30), -4],
 }
 
 
 @pytest.mark.parametrize("name", sorted(SQUARE_CASES))
 def test_square_truncated_edge_cases(name):
     coeffs = SQUARE_CASES[name]
-    for max_exp in range(len(coeffs)):  # below and equal to len - 1
+    before = list(coeffs)
+    for max_exp in range(len(coeffs) + 2):  # below, at and past len - 1
         assert _square_truncated(coeffs, max_exp) == schoolbook_square(coeffs, max_exp), max_exp
+        assert coeffs == before  # the caller's list is left as it was
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-(10**12), 10**12) | st.sampled_from([0, -1, 1, -(10**40)]), min_size=1, max_size=30),
+    st.integers(0, 32),
+)
+def test_square_truncated_matches_schoolbook_hypothesis(coeffs, max_exp):
+    before = list(coeffs)
+    assert _square_truncated(coeffs, max_exp) == schoolbook_square(coeffs, max_exp)
+    assert coeffs == before
 
 
 def test_square_truncated_matches_schoolbook_random():
@@ -99,6 +122,31 @@ def test_square_truncated_matches_schoolbook_random():
         for max_exp in {len(coeffs) - 1, rng.randrange(len(coeffs))}:
             got = _square_truncated(coeffs, max_exp)
             assert got == schoolbook_square(coeffs, max_exp), (trial, max_exp)
+
+
+NAIVE_TOP = 2000
+TRIANGULAR = [k * (k + 1) // 2 for k in range(64)]
+# Orders N at the triangular boundaries of the sparse pair loop: T_k, T_k +- 1,
+# 2 T_k and 2 T_k +- 1, each with top = N - 1.
+BOUNDARY_TOPS = sorted(
+    {n - 1 for t in TRIANGULAR for n in (t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1)
+     if 1 <= n <= NAIVE_TOP + 1}
+)
+
+
+@pytest.fixture(scope="module")
+def naive_sixth_power():
+    return naive_eta_power(6, NAIVE_TOP)
+
+
+def test_cube_series_square_matches_dense_and_naive(naive_sixth_power):
+    for top in sorted(set(range(60)) | set(BOUNDARY_TOPS)):
+        dense = [0] * (top + 1)
+        for e, c in jacobi_series(top):
+            dense[e] = c
+        sparse = _cube_series_square(top)
+        assert sparse == _square_truncated(dense, top), top
+        assert sparse == naive_sixth_power[: top + 1], top
 
 
 def test_exact_context_traps_rounding():

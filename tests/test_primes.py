@@ -67,11 +67,12 @@ def test_random_limit_sequences(limits):
 
 @pytest.mark.parametrize("order", ["random", "rising"])
 def test_sieve_grows_geometrically(monkeypatch, order):
-    calls = []
+    calls, aboves = [], []
 
-    def counting_sieve(limit):
+    def counting_sieve(limit, above=0):
         calls.append(limit)
-        return sieve_primes(limit)
+        aboves.append(above)
+        return sieve_primes(limit, above)
 
     monkeypatch.setattr(primes, "sieve_primes", counting_sieve)
     rng = random.Random(6)
@@ -83,6 +84,8 @@ def test_sieve_grows_geometrically(monkeypatch, order):
             next(cached_primes(limit), None)
         assert len(calls) <= math.ceil(math.log2(10 ** 6)) + 1
         assert calls == sorted(calls)
+        # Each growth sieves only the segment past the previous top.
+        assert aboves == [1] + calls[:-1]
         assert list(cached_primes(ORACLE_TOP)) == ORACLE
 
 
@@ -108,6 +111,48 @@ def test_growth_during_iteration_keeps_outer_iterator():
             # A caller inside the loop pushes the sieve past its top.
             assert list(cached_primes(30 * p)) == oracle(30 * p)
         assert seen == oracle(30)
+
+
+def test_sieve_interval_matches_oracle():
+    for above in list(range(-2, 60)) + [960, 961, 2208, 2209]:
+        for limit in list(range(0, 130)) + [960, 961, 2208, 2209, ORACLE_TOP]:
+            want = [p for p in oracle(limit) if p > above]
+            assert sieve_primes(limit, above) == want, (above, limit)
+
+
+# Tops where a segment boundary meets a prime or a prime square: p - 1, p,
+# p^2 - 1 and p^2.
+GROWTH_TOPS = sorted({t for p in (2, 3, 5, 7, 11, 13, 37, 67) for t in (p - 1, p, p * p - 1, p * p)} - {1})
+
+
+def test_sieve_growth_onto_prime_and_square_tops():
+    for first in (1, 2, 3, 5, 7, 24, 48):
+        for top in GROWTH_TOPS:
+            with fresh_sieve():
+                list(cached_primes(first))
+                held = cached_primes(first)  # taken before the growth
+                if top >= 2 * primes._sieve_top:
+                    list(cached_primes(top))
+                    assert primes._sieve_top == top
+                checked = set(range(30)) | {t + d for t in GROWTH_TOPS + [first] for d in (-1, 0, 1)}
+                for limit in sorted(checked):
+                    if limit <= primes._sieve_top:
+                        assert list(cached_primes(limit)) == oracle(limit), (first, top, limit)
+                assert list(held) == oracle(first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(GROWTH_TOPS) | st.integers(0, ORACLE_TOP), min_size=1, max_size=10))
+def test_sieve_growth_sequences_keep_every_prefix(limits):
+    with fresh_sieve():
+        taken = []
+        for limit in limits:
+            taken.append((limit, cached_primes(limit)))
+            top = primes._sieve_top
+            for below in {0, 1, 2, limit, top // 2, top - 1, top}:
+                assert list(cached_primes(below)) == sieve_primes(below), below
+        for limit, held in taken:
+            assert list(held) == oracle(limit), limit
 
 
 def test_radical_matches_naive_small():
