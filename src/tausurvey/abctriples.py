@@ -6,19 +6,24 @@ A near-point (x, y) with defect k gives the additive relation
 
 and dividing by d = gcd of the first two legs produces a coprime triple
 a1 + b1 = c1 ready for the abc inequality |c1| <= C * rad(a1 b1 c1)^(1+eps).
-Radicals come from a budgeted factorization (trial division, then Brent's
-cycle-finding rho with a deterministic seed); when the budget runs out the
+Radicals come from a budgeted factorization, in this order: a perfect square
+is replaced by its root; one gcd against the product of the primes up to
+TRIAL_FIRST_STAGE finds every small prime at once (the smooth-part gcd of
+Bernstein, "How to find smooth parts of integers", 2004); a cofactor that
+can still be composite is trial-divided in stages, then split by Brent's
+cycle-finding rho with a deterministic seed.  When the budget runs out the
 reported radical is an upper bound and the triple is flagged incomplete.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 
 from .curves import NearPoint
-from .primes import cached_primes, factor_trial, iroot, is_prime
+from .primes import TRIAL_FIRST_STAGE, cached_primes, factor_trial, iroot, is_prime
 
 TRIAL_LIMIT = 1_000_000
 DEFAULT_BUDGET = 200_000
@@ -93,31 +98,52 @@ def _peel_perfect_power(n: int) -> int:
     return n
 
 
+@functools.cache
+def _small_primorial() -> int:
+    """Product of the primes up to TRIAL_FIRST_STAGE, built on first use
+    (not at import, so a process that takes no radical never sieves)."""
+    return math.prod(cached_primes(TRIAL_FIRST_STAGE))
+
+
 def radical_budgeted(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> tuple[int, bool]:
     """Product of the distinct primes dividing n, under a factoring budget.
 
-    A perfect square n = r^2 is replaced by r first, since rad(r^2) = rad(r)
-    and trial division of r^2 only stops early once it passes r, not
-    sqrt(r).  Trial division runs up to TRIAL_LIMIT, in factor_trial's
-    stages: the shared sieve grows past its first stage only for a cofactor
-    that can still have a factor there, so a leg that splits into small
-    primes never sieves toward TRIAL_LIMIT.  Remaining composite cofactors
-    go through Brent rho with a deterministic RNG seeded by `seed`, spending
-    at most `budget` steps of the rho map in total.  When some cofactor
-    resists, it is multiplied into the result as-is, so the returned value is
-    an upper bound on the true radical and the flag is False.  Cofactors
-    surviving the probable-prime test are treated as prime.  The square peel
-    changes neither result: the cofactor left by trial division of r^2 is the
-    square of the one left for r, and both peel to the same primitive root.
+    The steps, in order:
+      1. Square peel: a perfect square n = r^2 is replaced by r, since
+         rad(r^2) = rad(r) and trial division of r^2 only stops early once it
+         passes r, not sqrt(r).
+      2. Primorial gcd: small = gcd(n, P), with P the product of the primes
+         up to TRIAL_FIRST_STAGE, is the radical of n's small-prime part.
+         Those primes leave n in O(log e) gcd rounds for a largest exponent
+         e: divide by h, then take h = gcd(n, h^2).  The rest has no prime
+         factor <= TRIAL_FIRST_STAGE, so below TRIAL_FIRST_STAGE^2 it is 1
+         or a prime and the radical is complete.
+      3. Staged trial division: a larger rest goes to factor_trial up to
+         TRIAL_LIMIT, whose shared sieve grows past its first stage only for
+         a cofactor that can still have a factor there.
+      4. Rho: remaining composite cofactors go through Brent rho with a
+         deterministic RNG seeded by `seed`, spending at most `budget` steps
+         of the rho map in total.
+
+    When some cofactor resists rho, it is multiplied into the result as-is,
+    so the returned value is an upper bound on the true radical and the flag
+    is False.  Cofactors surviving the probable-prime test are treated as
+    prime.  Neither the square peel nor the gcd changes a result: trial
+    division of n itself would find the same primes up to TRIAL_LIMIT and
+    leave rho a cofactor that peels to the same primitive root.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1, True
     r = math.isqrt(n)
     while r > 1 and r * r == n:
         n = r
         r = math.isqrt(n)
+    small = h = math.gcd(n, _small_primorial())
+    while h > 1:
+        n //= h
+        h = math.gcd(n, h * h)
+    if n < TRIAL_FIRST_STAGE * TRIAL_FIRST_STAGE:
+        return small * n, True
     exponents, cofactor = factor_trial(n, TRIAL_LIMIT)
     found = set(exponents)
     stubborn: set[int] = set()
@@ -139,7 +165,7 @@ def radical_budgeted(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> tup
                 continue
             stack.append(_peel_perfect_power(factor))
             stack.append(_peel_perfect_power(m // factor))
-    rad = 1
+    rad = small
     for p in found:
         rad *= p
     for m in stubborn:

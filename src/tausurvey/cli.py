@@ -8,7 +8,9 @@ through a key=value config file passed with --config (lowest precedence).
 predict --X alone parses a real number instead of an integer.
 
 emit is the only serializer: each subcommand builds its records once and
-hands them to emit, which writes JSON lines or CSV rows.  survey, report,
+hands them to emit, which writes JSON lines or CSV rows in chunks of 64 KiB
+of characters, not one write per line (a chunk is written once it reaches
+that size, so it runs past it by at most one line).  survey, report,
 sato-tate and predict write one JSON document, and their CSV holds its flat
 rows; tau --n alone prints a bare integer in either format.  abc lists each
 record at both points of a mirror pair, and emit encodes it once.  Big
@@ -192,6 +194,11 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
+# Characters emit gathers before a write: one write per chunk rather than per
+# line, since with PYTHONUNBUFFERED=1 every write is a syscall.
+_CHUNK_CHARS = 64 * 1024
+
+
 def emit(
     records: list[dict[str, Any]], fieldnames: list[str], fmt: str, out: IO[str], *,
     mirrored: bool = False,
@@ -199,12 +206,17 @@ def emit(
     """Write records as JSON lines or CSV with a fixed field order; the one
     place that serializes stdout.
 
+    Encoded lines are joined and written in chunks: a chunk goes out as soon
+    as it holds 64 KiB of characters, so no write is longer than 64 KiB plus
+    one line, and the rest goes out at the end.
+
     mirrored is for a list that names each record object twice, as abc lists
     one record at both points of a mirror pair: the record's encoded line is
     kept from its first listing, written again at its second and dropped
     there, so each record is encoded once and only the lines still waiting
     for their second listing are held.
     """
+    chunk: list[str] = []
     if fmt == "json":
         def encode(record: dict[str, Any]) -> str:
             return json.dumps(record, separators=(",", ":")) + "\n"
@@ -218,18 +230,30 @@ def emit(
             writer.writerow([_csv_cell(record[name]) for name in fieldnames])
             return row.getvalue()
 
-        csv.writer(out, lineterminator="\n").writerow(fieldnames)
-    if not mirrored:
-        for record in records:
-            out.write(encode(record))
-        return
-    # Lines by id(record): the list keeps every record alive, so no id is reused.
-    pending: dict[int, str] = {}
+        writer.writerow(fieldnames)
+        chunk.append(row.getvalue())
+    if mirrored:
+        # Lines by id(record): the list keeps every record alive, so no id is reused.
+        pending: dict[int, str] = {}
+
+        def line_of(record: dict[str, Any]) -> str:
+            line = pending.pop(id(record), None)
+            if line is None:
+                line = pending[id(record)] = encode(record)
+            return line
+    else:
+        line_of = encode
+    size = sum(map(len, chunk))
     for record in records:
-        line = pending.pop(id(record), None)
-        if line is None:
-            line = pending[id(record)] = encode(record)
-        out.write(line)
+        line = line_of(record)
+        chunk.append(line)
+        size += len(line)
+        if size >= _CHUNK_CHARS:
+            out.write("".join(chunk))
+            chunk = []
+            size = 0
+    if chunk:
+        out.write("".join(chunk))
 
 
 def _emit_document(

@@ -15,7 +15,7 @@ import io
 import math
 from typing import IO
 
-from .abctriples import DEFAULT_BUDGET, AbcTriple, from_near_point
+from .abctriples import DEFAULT_BUDGET, AbcTriple, from_near_point, radical_budgeted
 from .curves import CurveKind, NearPoint, exact_count, near_points
 from .delta import TauTable, _cube_series_square, delta_coefficients, tau_parity
 from .hecke import is_ordinary, tau_of, tau_prime_power
@@ -104,6 +104,20 @@ def naive_radical(n: int) -> int:
                 n //= d
         d += 1
     return rad * n
+
+
+# Legs at the boundaries of radical_budgeted's primorial gcd: high prime
+# powers (many gcd rounds), primes either side of the stage top 4096, primes
+# between TRIAL_LIMIT and 4096^2, values either side of 4096^2, and rests at
+# or above 4096^2 that go on to trial division.  Each has at most one prime
+# factor past 4111, so naive_radical takes it quickly.
+RADICAL_EDGES = (
+    128**11, 2**77 * 3**5, 4093**3,
+    4093 * 4099, 4099**2, 4093 * 4099 * 4111, 4099 * 4111,
+    1_000_003, 1_000_033, 16_777_213,
+    4096**2 - 1, 4096**2, 4096**2 + 1, 16_777_259,
+    4099 * 4111 * 1_000_003, 2**40 * 4093**2 * 16_777_259,
+)
 
 
 def naive_abc_triples(kind: CurveKind, X: int, x_min: int, x_max: int) -> list[AbcTriple]:
@@ -227,6 +241,11 @@ def run_self_test(stream: IO[str]) -> bool:
     check(
         _pooled_verdicts(values, 2, 0) == _verdicts(values),
         "primality verdicts on a 2-worker pool vs in-process, X=1e120, N=2000",
+    )
+    check(
+        all(radical_budgeted(n, budget) == (naive_radical(n), True)
+            for n in RADICAL_EDGES for budget in (0, DEFAULT_BUDGET)),
+        "primorial-gcd radicals vs trial-division oracle, prime powers and legs around 4096 and 4096^2",
     )
     pairs = [abc_output_pair(kind, 10_000, 6, fmt=fmt) for kind in CurveKind for fmt in ("json", "csv")]
     check(

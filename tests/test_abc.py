@@ -16,7 +16,7 @@ from tausurvey.abctriples import (
 )
 from tausurvey.curves import CurveKind, NearPoint
 from tausurvey.primes import factor_trial, is_prime
-from tausurvey.selftest import abc_output_pair, naive_radical
+from tausurvey.selftest import RADICAL_EDGES, abc_output_pair, naive_radical
 
 
 def test_triple_from_prime_defect_point():
@@ -254,6 +254,35 @@ def test_peel_keeps_a_stubborn_square_root():
     n = 1000003 * 1000033
     assert radical_budgeted(n**2, budget=0) == reference_radical(n**2, budget=0) == (n, False)
     assert radical_budgeted(n**4) == (n, True)
+
+
+# ------------------------- primorial gcd edges -------------------------
+
+# Legs whose rest after the primorial gcd is at or above TRIAL_FIRST_STAGE^2,
+# so they must still reach factor_trial; RHO_EDGES also reach rho, where two
+# primes past TRIAL_LIMIT resist a budget of 0.
+RHO_EDGES = {1_000_003 * 1_000_033, 6 * 4093**5 * 1_000_003 * 1_000_033}
+ROUGH_EDGES = RHO_EDGES | {
+    4093 * 4099 * 4111, 4099 * 4111, 16_777_259, 4099 * 4111 * 1_000_003,
+    2**40 * 4093**2 * 16_777_259, 1_000_003**3,
+}
+
+
+@pytest.mark.parametrize("n", sorted(set(RADICAL_EDGES) | ROUGH_EDGES))
+def test_primorial_gcd_on_edge_legs(n, monkeypatch):
+    reached = set()
+    for name in ("factor_trial", "_rho_brent"):
+        real = getattr(abctriples, name)
+        monkeypatch.setattr(abctriples, name, lambda *a, _f=real, _name=name: reached.add(_name) or _f(*a))
+    paths = {"factor_trial"} if n in ROUGH_EDGES else set()
+    paths |= {"_rho_brent"} if n in RHO_EDGES else set()
+    want = naive_radical(n)
+    for budget in (0, DEFAULT_BUDGET):
+        reached.clear()
+        got = radical_budgeted(n, budget)
+        assert reached == paths
+        assert got == reference_radical(n, budget)
+        assert got == (want, budget > 0 or n not in RHO_EDGES)
 
 
 # ---------------------- abc records, one per mirror pair ----------------------

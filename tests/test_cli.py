@@ -1,8 +1,11 @@
 import argparse
+import bisect
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -737,6 +740,65 @@ def test_only_abc_emits_mirrored(argv, monkeypatch):
     monkeypatch.setattr(cli, "emit", spy)
     assert run(argv)[0] == 0
     assert flags == [argv[0] == "abc"]
+
+
+class CountingSink(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return super().write(text)
+
+
+def _palindromic_runs(sizes, start=0):
+    """abc's listing order: per abscissa, its records from -y up and back."""
+    listing = []
+    for size in sizes:
+        records = [_emit_record(i) for i in range(start, start + size)]
+        listing += records[::-1] + records
+        start += size
+    return listing
+
+
+def _check_chunked(listing, fmt, mirrored):
+    sink = CountingSink()
+    cli.emit(listing, EMIT_FIELDS, fmt, sink, mirrored=mirrored)
+    want = oracle_bytes(listing, fmt)
+    assert sink.getvalue() == want
+    assert len(sink.chunks) <= math.ceil(len(want) / cli._CHUNK_CHARS) + 2
+    return sink.chunks
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_emit_writes_long_listings_in_chunks(fmt, mirrored):
+    listing = _palindromic_runs([40] * 12)
+    chunks = _check_chunked(listing, fmt, mirrored)
+    lines = oracle_bytes(listing, fmt).splitlines(keepends=True)
+    assert len(chunks) > 2
+    assert all(len(c) < cli._CHUNK_CHARS + max(map(len, lines)) for c in chunks)
+    # Some mirror pair has its first listing in one chunk and its second in the next.
+    ends = list(itertools.accumulate(map(len, chunks)))
+    starts = list(itertools.accumulate(map(len, lines), initial=0))[fmt == "csv" :]
+    chunk_of = {}
+    straddles = 0
+    for record, start in zip(listing, starts):
+        chunk = bisect.bisect_right(ends, start)
+        straddles += chunk_of.setdefault(id(record), chunk) != chunk
+    assert straddles > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 60), max_size=12),
+    st.integers(0, 400),
+    st.sampled_from(["json", "csv"]),
+    st.booleans(),
+)
+def test_chunked_emit_matches_oracle_on_long_listings(sizes, start, fmt, mirrored):
+    _check_chunked(_palindromic_runs(sizes, start), fmt, mirrored)
 
 
 def test_mirrored_emit_drops_each_line_at_its_second_listing():

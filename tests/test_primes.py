@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tausurvey import primes
+from tausurvey import abctriples, primes
 from tausurvey.abctriples import TRIAL_LIMIT, radical_budgeted
 from tausurvey.primes import TRIAL_FIRST_STAGE, cached_primes, factor_trial, is_prime, sieve_primes
 from tausurvey.selftest import naive_primes
@@ -276,3 +276,14 @@ def test_abc_at_the_benchmark_size_sieves_at_most_8192():
     with fresh_sieve():
         assert dispatch(["abc", "--kind", "deg11", "--X", "4e6", "--x-max", "150"], io.StringIO()) == 0
         assert primes._sieve_top <= 8192
+
+
+def test_abc_at_the_benchmark_size_sieves_only_the_primorial_stage():
+    # The primorial of the primes up to TRIAL_FIRST_STAGE sieves the first
+    # stage, and no leg's rest at this size needs a prime past it.
+    from tausurvey.cli import dispatch
+
+    with fresh_sieve():
+        abctriples._small_primorial.cache_clear()
+        assert dispatch(["abc", "--kind", "deg11", "--X", "4e6", "--x-max", "150"], io.StringIO()) == 0
+        assert primes._sieve_top == TRIAL_FIRST_STAGE

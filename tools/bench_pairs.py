@@ -1,13 +1,16 @@
 """Alternating parent/change runs of perfbench, summarized into BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --base DIR --change DIR --out BENCH_7.json
+    python3 tools/bench_pairs.py ... --workloads abc-triples --seeds 10 11 12
 
 DIR is the root of a source checkout (for example a `git clone` of the parent
 commit, and the working tree).  Each side runs its own `perfbench/run.py
 --trace 0` from its own root, for every workload of the change's
-BENCHMARK.json, seeds 0-9, each run as long as its run_seconds.  Pair i runs
-the base first when i is even and the change first when it is odd.  After
-every pair the output file is rewritten, so a cut run keeps what it measured.
+BENCHMARK.json (or those named by --workloads), seeds 0-9 (or --seeds), each
+run as long as its run_seconds.  Pair i runs the base first when i is even
+and the change first when it is odd.  After every pair the output file is
+rewritten, so a cut run keeps what it measured.  --seeds lets a claim be
+checked again on seeds that were not looked at while the change was made.
 
 For each workload and each end-to-end metric of the change's BENCHMARK.json
 the file holds each side's median, Q1 and Q3 (inclusive quartiles of the
@@ -16,7 +19,10 @@ neither), the gap in medians signed so that a positive gap means the change
 is better, the base's Q3 - Q1, and the commit and src_sha256 each side
 reported, with `dirty`: whether `git status --porcelain` lists any change in
 that side's checkout (null when the root is not a git work tree).  A dirty
-side's commit is only the one its changes sit on.
+side's commit is only the one its changes sit on.  Each side's record also
+holds `io_env`, the values of PYTHONUNBUFFERED and PYTHONDONTWRITEBYTECODE
+(null when unset) that perfbench's children inherit from this process: an
+unbuffered stdout makes every write a syscall, which moves wall time.
 
 Each metric also says whether it passes the two benchmark rules:
 `meets_gain_rule`, the change wins at least 9 of every 10 pairs and its
@@ -30,13 +36,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("base", "change")
-SEEDS = range(10)
+# Interpreter settings from the environment that change the cost of a run.
+IO_ENV = ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE")
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -97,21 +105,24 @@ def main() -> int:
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
+    parser.add_argument("--seeds", nargs="+", type=int, default=list(range(10)))
     args = parser.parse_args()
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     dirty = {side: is_dirty(root) for side, root in roots.items()}
-    doc = {"seconds": seconds, "seeds": list(SEEDS), "sides": {}, "workloads": {}}
-    for workload in (w["name"] for w in bench["workloads"]):
+    io_env = {name: os.environ.get(name) for name in IO_ENV}
+    doc = {"seconds": seconds, "seeds": args.seeds, "sides": {}, "workloads": {}}
+    for workload in args.workloads or [w["name"] for w in bench["workloads"]]:
         pairs: list[dict] = []
-        for i, seed in enumerate(SEEDS):
+        for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair: dict = {"seed": seed, "first": order[0]}
             for side in order:
                 env, result = run_side(roots[side], workload, seed, seconds)
                 doc["sides"][side] = {"commit": env["commit"], "dirty": dirty[side],
-                                      "src_sha256": env["src_sha256"]}
+                                      "src_sha256": env["src_sha256"], "io_env": io_env}
                 pair[side] = {k: result[k] for k in ("correct", "attempted", "failed", "metrics")}
             pairs.append(pair)
             doc["workloads"][workload] = {
