@@ -1,11 +1,13 @@
 """Command-line surface: scriptable, deterministic, byte-stable output.
 
-The shared options ("knobs") live in one table, _KNOBS, that gives each its
-parser, default, validity rule and the subcommands with its --flag.  Every
-knob can also be supplied through an environment variable with the
-TAUSURVEY_ prefix (flag --x-max becomes TAUSURVEY_X_MAX; flags win), or
-through a key=value config file passed with --config (lowest precedence).
-predict --X alone parses a real number instead of an integer.
+The options ("knobs") live in one table, _KNOBS, that gives each its
+parser, default, validity rule and the subcommands with its --flag.  A
+subcommand takes the knobs it has flags for, and no other: each of them can
+also be supplied through an environment variable with the TAUSURVEY_ prefix
+(flag --x-max becomes TAUSURVEY_X_MAX; flags win), or through a key=value
+config file passed with --config (lowest precedence), and one parser reads it
+from all three.  Env and config values of other knobs are ignored.  predict's
+X alone is a real number instead of an integer, from every source.
 
 emit is the only serializer: each subcommand builds its records once and
 hands them to emit, which writes JSON lines or CSV rows in chunks of 64 KiB
@@ -89,6 +91,7 @@ class _Knob(NamedTuple):
     check: Callable[[Any], bool]
     commands: tuple[str, ...] | None = None  # subcommands with the --flag; None is all
     help: str | None = None
+    cast_for: dict[str, Callable[[str], Any]] | None = None  # a subcommand's own parser
 
 
 def _positive(value: Any) -> bool:
@@ -99,14 +102,20 @@ def _non_negative(value: Any) -> bool:
     return value >= 0
 
 
+# Subcommands that build a tau table.
+_TABLE_COMMANDS = ("tau", "survey", "sato-tate", "report")
+
 # The one table of knobs.  Each is a --flag (dashes for underscores) on the
-# subcommands listed, a TAUSURVEY_ environment variable and a config-file key.
-# predict's --X is a float parser of its own, added with that subcommand.
+# subcommands listed, and for those alone a TAUSURVEY_ environment variable
+# and a config-file key, all three read by the same parser.  predict parses X
+# as a real number.
 _KNOBS = {
-    "N": _Knob(int, 10_000, "positive", _positive, help="series truncation order"),
+    "N": _Knob(int, 10_000, "positive", _positive, _TABLE_COMMANDS, "series truncation order"),
     "X": _Knob(
         _big_int, 1_000_000, "positive", _positive,
-        ("survey", "near-points", "count", "abc", "report"),
+        ("survey", "near-points", "count", "abc", "report", "predict"),
+        "the bound: an integer, or for predict a real number that must exceed e",
+        {"predict": _finite_float},
     ),
     "x_min": _Knob(int, 1, "positive", _positive, ("near-points", "abc")),
     "x_max": _Knob(int, 10, "positive", _positive, ("near-points", "count", "abc", "report")),
@@ -115,7 +124,10 @@ _KNOBS = {
     "epsilon": _Knob(_finite_float, None, "positive", lambda v: v is None or v > 0, ("abc",)),
     "C": _Knob(_finite_float, 1.0, "positive", lambda v: v > 0, ("abc", "predict")),
     "format": _Knob(str, "json", "json or csv", lambda v: v in ("json", "csv"), help="json or csv"),
-    "seed": _Knob(int, 0, "non-negative", _non_negative),
+    "seed": _Knob(int, 0, "non-negative", _non_negative, ("abc",)),
+    # On every subcommand, though only survey and report run a pool: the
+    # output is the same for every value, so any run may pass it (the
+    # abc-triples benchmark passes --workers 2 to abc).
     "workers": _Knob(
         int, survey_mod.usable_cpus(), "positive", _positive,
         help="processes for the survey/report primality tests (default and cap: "
@@ -123,13 +135,17 @@ _KNOBS = {
         "for every value",
     ),
     "budget": _Knob(int, abctriples.DEFAULT_BUDGET, "non-negative", _non_negative, ("abc",)),
-    "series_max": _Knob(int, SERIES_MAX_DEFAULT, "positive", _positive),
-    "scan_ceiling": _Knob(int, curves.FULL_SCAN_CEILING, "positive", _positive),
+    "series_max": _Knob(int, SERIES_MAX_DEFAULT, "positive", _positive, _TABLE_COMMANDS),
+    "scan_ceiling": _Knob(
+        int, curves.FULL_SCAN_CEILING, "positive", _positive,
+        ("near-points", "count", "abc", "report"),
+    ),
 }
 
 
 class RunConfig(SimpleNamespace):
-    """Resolved knobs, one attribute per _KNOBS entry."""
+    """Resolved knobs of one subcommand: an attribute for each knob it takes
+    a flag for, and none for the others."""
 
 
 # Config-file keys match knob names case-insensitively (n = N, X_MAX = x_max).
@@ -158,16 +174,19 @@ def _cast(cast: Any, text: str, source: str) -> Any:
 
 
 def _resolve(args: argparse.Namespace, file_cfg: dict[str, str]) -> RunConfig:
+    """The subcommand's knobs, each by flag, env, config file or default,
+    parsed by the cast its flag has (args.knob_casts, set by _add_knobs)."""
     cfg = RunConfig()
-    for key, knob in _KNOBS.items():
-        value = getattr(args, key, None)
+    for key, cast in args.knob_casts.items():
+        knob = _KNOBS[key]
+        value = getattr(args, key)
         if value is None:
             env_name = ENV_PREFIX + key.upper()
             env = os.environ.get(env_name)
             if env is not None:
-                value = _cast(knob.cast, env, env_name)
+                value = _cast(cast, env, env_name)
             elif key in file_cfg:
-                value = _cast(knob.cast, file_cfg[key], f"config key {key}")
+                value = _cast(cast, file_cfg[key], f"config key {key}")
             else:
                 value = knob.default
         if not knob.check(value):
@@ -284,10 +303,14 @@ def _cmd_tau(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     if args.n is None and args.max is None:
         raise ValueError("tau needs --n or --max")
     if args.max is not None:
+        if args.square:
+            raise ValueError("--square applies to --n only")
         table = delta_coefficients(args.max, series_max=cfg.series_max)
         records = [{"n": n, "tau": str(t)} for n, t in table.iter_records()]
         emit(records, ["n", "tau"], cfg.format, out)
         return 0
+    if args.n < 1:  # before squaring: (-5)^2 would pass
+        raise ValueError("n must be >= 1")
     table = _build_table(cfg)
     n = args.n * args.n if args.square else args.n
     out.write(f"{tau_of(n, table)}\n")
@@ -462,7 +485,7 @@ def _cmd_sato_tate(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> in
 
 
 def _cmd_predict(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
-    pred = satotate.heuristic_prediction(_float_X(cfg), cfg.m_max, cfg.C)
+    pred = satotate.heuristic_prediction(cfg.X, cfg.m_max, cfg.C)
     if not math.isfinite(pred.total):
         raise ValueError("the estimate overflows a float; lower X or C")
     layers = [{"m": m, "estimate": _f(v)} for m, v in pred.layers]
@@ -516,12 +539,16 @@ _HANDLERS = {
 
 
 def _add_knobs(sub: argparse.ArgumentParser, command: str) -> None:
-    """Add the --flag of every knob the subcommand takes, parsed by the table's cast."""
+    """Add the --flag of every knob the subcommand takes, and record which
+    knobs those are, with the cast that parses each (knob_casts)."""
+    casts = {}
     for name, knob in _KNOBS.items():
         if knob.commands is None or command in knob.commands:
+            cast = casts[name] = (knob.cast_for or {}).get(command, knob.cast)
             flag = "--" + name.replace("_", "-")
-            sub.add_argument(flag, dest=name, type=knob.cast, help=knob.help)
+            sub.add_argument(flag, dest=name, type=cast, help=knob.help)
     sub.add_argument("--config", help="key=value config file (lowest precedence)")
+    sub.set_defaults(knob_casts=casts)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -567,9 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--u-layer", dest="u_layer", type=int)
     sub.add_argument("--u-threshold", dest="u_threshold", type=_finite_float)
 
-    sub = command("predict", "layered heuristic estimates for S(X)")
-    sub.add_argument("--X", type=_finite_float, help="real-valued bound, must exceed e")
-
+    command("predict", "layered heuristic estimates for S(X)")
     command("report", "verification suites plus reduction terms")
 
     return parser

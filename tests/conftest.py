@@ -1,7 +1,16 @@
+import os
+
 import pytest
 
 from tausurvey import survey as survey_mod
 from tausurvey.delta import delta_coefficients
+
+
+@pytest.fixture(autouse=True)
+def no_tausurvey_env(monkeypatch):
+    """Every test starts with no TAUSURVEY_ variable set, whatever the shell has."""
+    for name in [k for k in os.environ if k.startswith("TAUSURVEY_")]:
+        monkeypatch.delenv(name)
 
 
 @pytest.fixture(scope="session")

@@ -235,7 +235,7 @@ FROZEN_STDOUT = [
 @pytest.mark.parametrize(
     "command, fmt, code, digest", FROZEN_STDOUT, ids=[f"{c}-{f}" for c, f, *_ in FROZEN_STDOUT]
 )
-def test_stdout_bytes_frozen(command, fmt, code, digest, no_env):
+def test_stdout_bytes_frozen(command, fmt, code, digest):
     got_code, out, _ = run(command.split() + ["--format", fmt])
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
@@ -263,6 +263,23 @@ def test_usage_errors():
     assert code == 2
     code, _, _ = run(["sato-tate", "--N", "100", "--u-layer", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["tau", "--n", "-5", "--square"], "n must be >= 1"),
+     (["tau", "--max", "3", "--square"], "--square applies to --n only")],
+    ids=["negative-n-squared", "max-squared"],
+)
+def test_tau_flag_misuse_is_usage_error_before_the_table(argv, message, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built before the flags were checked")
+
+    monkeypatch.setattr(cli, "delta_coefficients", no_table)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {message}")
+    assert "Traceback" not in err
 
 
 def test_sato_tate_u_pair_refused_in_csv():
@@ -301,7 +318,7 @@ def test_resource_limit_exit():
     assert "resource limit" in err
 
 
-def test_report_honours_scan_ceiling(no_env):
+def test_report_honours_scan_ceiling():
     code, out, err = run(
         ["report", "--X", "1e6", "--N", "500", "--x-max", "3", "--scan-ceiling", "1"]
     )
@@ -374,13 +391,7 @@ def test_config_file_lowest(tmp_path, monkeypatch):
     assert payload["x_max"] == 2  # file beats default
 
 
-@pytest.fixture
-def no_env(monkeypatch):
-    for name in [k for k in os.environ if k.startswith("TAUSURVEY_")]:
-        monkeypatch.delenv(name)
-
-
-def test_config_file_keys_any_case(tmp_path, no_env):
+def test_config_file_keys_any_case(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("N=300\nX=1000\nC=2\nx_max=2\n")
     code, out, _ = run(["report", "--config", str(cfg)])
@@ -404,7 +415,7 @@ def test_bad_env_value_is_usage_error(name, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_bad_config_value_is_usage_error(tmp_path, no_env):
+def test_bad_config_value_is_usage_error(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("x=1.5\n")
     code, _, err = run(["count", "--kind", "deg11", "--x-max", "2", "--config", str(cfg)])
@@ -446,7 +457,7 @@ def test_predict_float_overflow_is_usage_error(monkeypatch):
     assert err.startswith("usage error: the estimate overflows")
     code, out, err = run(["predict"], env={"TAUSURVEY_X": "1e400"}, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
-    assert err.startswith("usage error: X is too large")
+    assert err.startswith("usage error: bad value for TAUSURVEY_X: not a finite number")
 
 
 @pytest.mark.parametrize("command", ["survey", "report"])
@@ -476,7 +487,7 @@ def test_huge_x_rejected_before_allocation():
     assert _big_int("1e4299") == 10 ** 4299
 
 
-def test_huge_x_exits_2_from_flag_env_and_config(tmp_path, no_env, monkeypatch):
+def test_huge_x_exits_2_from_flag_env_and_config(tmp_path, monkeypatch):
     argv = ["survey", "--N", "30"]
     code, out, err = run(argv + ["--X", "1e1000000000"])
     assert (code, out) == (2, "")
@@ -509,6 +520,135 @@ def test_scientific_notation_x():
     code, out, _ = run(["count", "--kind", "deg11", "--X", "1e2", "--x-max", "3"])
     assert code == 0
     assert json.loads(out)["X"] == "100"
+
+
+# ----------------------- each subcommand's own knobs -----------------------
+
+# The knob flags of each subcommand: 49 in all.  It resolves these knobs, and
+# reads the env and config value of no other.
+KNOB_FLAGS = {
+    "tau": {"--N", "--format", "--workers", "--series-max"},
+    "parity": {"--format", "--workers"},
+    "survey": {"--N", "--X", "--format", "--workers", "--series-max"},
+    "near-points": {"--X", "--x-min", "--x-max", "--format", "--workers", "--scan-ceiling"},
+    "count": {"--X", "--x-max", "--format", "--workers", "--scan-ceiling"},
+    "abc": {"--X", "--x-min", "--x-max", "--epsilon", "--C", "--format", "--seed", "--workers",
+            "--budget", "--scan-ceiling"},
+    "sato-tate": {"--N", "--bins", "--format", "--workers", "--series-max"},
+    "predict": {"--X", "--m-max", "--C", "--format", "--workers"},
+    "report": {"--N", "--X", "--x-max", "--format", "--workers", "--series-max",
+               "--scan-ceiling"},
+}
+
+# A quick run of each subcommand, exit 0.
+QUICK_ARGV = {
+    "tau": ["tau", "--n", "251", "--N", "300"],
+    "parity": ["parity", "--n", "9"],
+    "survey": ["survey", "--X", "1e6", "--N", "300"],
+    "near-points": ["near-points", "--kind", "deg11", "--X", "100", "--x-max", "4"],
+    "count": ["count", "--kind", "deg11", "--X", "100", "--x-max", "4"],
+    "abc": ["abc", "--kind", "deg11", "--X", "100", "--x-max", "4"],
+    "sato-tate": ["sato-tate", "--N", "300", "--bins", "4"],
+    "predict": ["predict", "--X", "1e6"],
+    "report": ["report", "--X", "1e6", "--N", "300", "--x-max", "3"],
+}
+
+
+def _flag(knob):
+    return "--" + knob.replace("_", "-")
+
+
+def _without(argv, flag):
+    """argv with flag and its value taken out."""
+    if flag not in argv:
+        return argv
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2 :]
+
+
+def test_each_subcommand_has_exactly_its_knob_flags():
+    subs = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    flags = {
+        name: {opt for a in sub._actions if a.dest in cli._KNOBS for opt in a.option_strings}
+        for name, sub in subs.items()
+    }
+    assert flags == KNOB_FLAGS
+    assert sum(map(len, flags.values())) == 49
+    assert len(REFUSED_FLAGS) == 23
+    for name, sub in subs.items():
+        casts = sub.get_default("knob_casts")
+        assert {_flag(knob) for knob in casts} == KNOB_FLAGS[name]
+        args = sub.parse_args(QUICK_ARGV[name][1:])
+        assert set(vars(cli._resolve(args, {}))) == set(casts)
+    assert subs["predict"].get_default("knob_casts")["X"] is cli._finite_float
+    assert subs["survey"].get_default("knob_casts")["X"] is cli._big_int
+
+
+def _supply(knob, text, source, tmp_path, monkeypatch):
+    """Set knob to text through the environment or a config file; the argv to add."""
+    if source == "env":
+        monkeypatch.setenv(cli.ENV_PREFIX + knob.upper(), text)
+        return []
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{knob}={text}\n")
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+@pytest.mark.parametrize("knob, text", [("bins", "1"), ("seed", "-1"), ("N", "0")])
+def test_bad_value_of_a_knob_not_taken_is_ignored(knob, text, source, tmp_path, monkeypatch):
+    takers = [c for c in QUICK_ARGV if _flag(knob) in KNOB_FLAGS[c]]
+    others = [c for c in QUICK_ARGV if c not in takers]
+    clean = {c: run(QUICK_ARGV[c]) for c in others}
+    extra = _supply(knob, text, source, tmp_path, monkeypatch)
+    for c in others:
+        assert clean[c][0] == 0 and clean[c][1] != ""
+        assert run(QUICK_ARGV[c] + extra) == clean[c], c
+    for c in takers:
+        code, out, err = run(_without(QUICK_ARGV[c], _flag(knob)) + extra)
+        assert (code, out) == (2, ""), c
+        assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def test_predict_takes_a_real_x_from_every_source(tmp_path, monkeypatch):
+    want = run(["predict", "--X", "100.5"])
+    assert want[0] == 0 and json.loads(want[1])["X"] == 100.5
+    for source in ("config", "env"):
+        assert run(["predict"] + _supply("X", "100.5", source, tmp_path, monkeypatch)) == want
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+def test_predict_non_finite_x_is_usage_error_from_every_source(
+    text, source, tmp_path, monkeypatch
+):
+    if source == "flag":
+        argv = ["predict", f"--X={text}"]
+    else:
+        argv = ["predict"] + _supply("X", text, source, tmp_path, monkeypatch)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert "not a finite number" in err and "Traceback" not in err
+
+
+# Flags of the four knobs that every subcommand took, on the subcommands that
+# never read them: 23 in all.
+REFUSED_FLAGS = [
+    (command, _flag(knob))
+    for knob in ("N", "series_max", "seed", "scan_ceiling")
+    for command in QUICK_ARGV
+    if _flag(knob) not in KNOB_FLAGS[command]
+]
+
+
+@pytest.mark.parametrize("command, flag", REFUSED_FLAGS, ids=[f"{c}{f}" for c, f in REFUSED_FLAGS])
+def test_a_knob_flag_the_subcommand_does_not_take_exits_2(command, flag):
+    code, out, err = run(QUICK_ARGV[command] + [flag, "1"])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} 1" in err
+    assert "Traceback" not in err
 
 
 # ------------------------------- determinism -------------------------------
@@ -591,7 +731,7 @@ def test_cli_import_loads_no_multiprocessing():
      ["report", "--X", "1e14", "--N", "2000", "--x-max", "5"]],
     ids=["survey", "survey-csv", "report"],
 )
-def test_survey_bytes_identical_for_every_worker_count(pool_on, no_env, monkeypatch, argv):
+def test_survey_bytes_identical_for_every_worker_count(pool_on, monkeypatch, argv):
     one = run(argv + ["--workers", "1"])
     two = run(argv + ["--workers", "2"])
     from_env = run(argv, {"TAUSURVEY_WORKERS": "8"}, monkeypatch)
@@ -611,7 +751,7 @@ def test_survey_bytes_identical_for_every_worker_count(pool_on, no_env, monkeypa
      ["near-points", "--kind", "deg22", "--X", "10000", "--x-max", "12"]],
     ids=lambda a: a[0],
 )
-def test_other_subcommands_never_start_a_pool(no_env, monkeypatch, fake_pool, argv):
+def test_other_subcommands_never_start_a_pool(monkeypatch, fake_pool, argv):
     calls = fake_pool()
     monkeypatch.setattr(survey_mod, "POOL_MIN_WORK", 0)
     monkeypatch.setattr(survey_mod, "usable_cpus", lambda: 4)
