@@ -4,7 +4,7 @@ instrumentation, and Sato-Tate angle statistics."""
 
 from .delta import TauTable, delta_coefficients, jacobi_series, tau_parity, verify_deligne
 from .errors import DeligneViolationError, OutOfRangeError, ResourceLimitError
-from .hecke import admissible_exponents, is_ordinary, quartic_identity_check, tau_of, tau_prime_power
+from .hecke import is_ordinary, tau_of, tau_prime_power
 from .primes import PrimalityVerdict
 
 __version__ = "0.1.0"
@@ -15,11 +15,9 @@ __all__ = [
     "PrimalityVerdict",
     "ResourceLimitError",
     "TauTable",
-    "admissible_exponents",
     "delta_coefficients",
     "is_ordinary",
     "jacobi_series",
-    "quartic_identity_check",
     "tau_of",
     "tau_parity",
     "tau_prime_power",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import NearPoint
 from .primes import TRIAL_FIRST_STAGE, cached_primes, factor_trial, iroot, is_prime
@@ -33,8 +33,7 @@ DEFAULT_BUDGET = 200_000
 _LOG_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class AbcTriple:
+class AbcTriple(NamedTuple):
     a: int
     b: int
     c: int

@@ -6,8 +6,9 @@ subcommand takes the knobs it has flags for, and no other: each of them can
 also be supplied through an environment variable with the TAUSURVEY_ prefix
 (flag --x-max becomes TAUSURVEY_X_MAX; flags win), or through a key=value
 config file passed with --config (lowest precedence), and one parser reads it
-from all three.  Env and config values of other knobs are ignored.  predict's
-X alone is a real number instead of an integer, from every source.
+from all three.  Env and config values of other knobs are ignored, but a
+config key that names no knob at all is a usage error.  predict's X alone is
+a real number instead of an integer, from every source.
 
 emit is the only serializer: each subcommand builds its records once and
 hands them to emit, which writes JSON lines or CSV rows in chunks of 64 KiB
@@ -46,7 +47,6 @@ from . import abctriples, curves, satotate, survey as survey_mod
 from .delta import SERIES_MAX_DEFAULT, delta_coefficients, tau_parity, verify_deligne
 from .errors import DeligneViolationError, OutOfRangeError, ResourceLimitError
 from .hecke import tau_of
-from .selftest import run_self_test
 
 ENV_PREFIX = "TAUSURVEY_"
 
@@ -153,6 +153,9 @@ _KNOB_BY_LOWER = {key.lower(): key for key in _KNOBS}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    """The key=value pairs of a config file, by knob name.  A key that names
+    no knob is a usage error; a knob of another subcommand is read and then
+    ignored by _resolve."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -161,7 +164,10 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             key, _, value = line.partition("=")
             key = key.strip()
-            values[_KNOB_BY_LOWER.get(key.lower(), key)] = value.strip()
+            knob = _KNOB_BY_LOWER.get(key.lower())
+            if knob is None:
+                raise ValueError(f"config key {key!r} in {path} names no knob")
+            values[knob] = value.strip()
     return values
 
 
@@ -305,6 +311,8 @@ def _cmd_tau(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     if args.max is not None:
         if args.square:
             raise ValueError("--square applies to --n only")
+        if args.max < 1:
+            raise ValueError("--max must be >= 1")
         table = delta_coefficients(args.max, series_max=cfg.series_max)
         records = [{"n": n, "tau": str(t)} for n, t in table.iter_records()]
         emit(records, ["n", "tau"], cfg.format, out)
@@ -611,6 +619,8 @@ def dispatch(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | N
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.self_test:
+        from .selftest import run_self_test  # loaded only for the run that needs it
+
         return 0 if run_self_test(out) else 1
     if args.command is None:
         parser.print_usage(err)

@@ -13,13 +13,16 @@ per x.  Counting never enumerates: the size of the run gives the count at x
 in O(1) isqrt arithmetic, and it is split into the three regimes (small /
 mid / sub-unit) whose boundaries are evaluated with exact integer power
 comparisons, never floats.
+
+NearPoint and RegimeReport are immutable NamedTuples: tuples that compare
+and hash by value, updated with _replace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ResourceLimitError
 from .primes import is_prime, is_square
@@ -52,8 +55,7 @@ class CurveKind(Enum):
         return x ** 11 > X
 
 
-@dataclass(frozen=True)
-class NearPoint:
+class NearPoint(NamedTuple):
     """One admissible pair; y doubles as the u-coordinate for DEG22."""
 
     kind: CurveKind
@@ -65,8 +67,7 @@ class NearPoint:
         return self.y * self.y - self.kind.central(self.x)
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     kind: CurveKind
     X: int
     x_max: int

@@ -14,11 +14,14 @@ decimal slots into one Decimal, squared exactly by libmpdec (a
 number-theoretic transform at these sizes, so near-linear in N), and
 unpacked with a balanced-digit borrow pass, so no Python-level O(N^2) loop
 is needed.
+
+The table is a TauTable, an immutable NamedTuple (N, coeffs): a tuple that
+compares and hashes by value, updated only by _replace, which checks the
+coefficient count as construction does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -32,7 +35,7 @@ from decimal import (
     Rounded,
 )
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ResourceLimitError
 from .primes import cached_primes, is_square
@@ -55,16 +58,28 @@ _EXACT = Context(
 )
 
 
-@dataclass(frozen=True)
-class TauTable:
-    """Exact tau(1..N); 1-indexed, tau(0) does not exist."""
-
+class _TauTableFields(NamedTuple):
     N: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.N < 1 or len(self.coeffs) != self.N:
+
+class TauTable(_TauTableFields):
+    """Exact tau(1..N); 1-indexed, tau(0) does not exist.
+
+    An immutable NamedTuple (N, coeffs), checked on construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, N: int, coeffs: tuple[int, ...]) -> TauTable:
+        if N < 1 or len(coeffs) != N:
             raise ValueError("coefficient count must equal N >= 1")
+        return super().__new__(cls, N, coeffs)
+
+    @classmethod
+    def _make(cls, iterable) -> TauTable:
+        # _replace builds through _make: check its result as well.
+        return cls(*iterable)
 
     def tau(self, n: int) -> int:
         if not 1 <= n <= self.N:

@@ -9,8 +9,6 @@ so a table of tau at primes determines tau everywhere the table covers.
 
 from __future__ import annotations
 
-import math
-
 from .delta import TauTable
 from .errors import OutOfRangeError
 from .primes import factor_trial, is_prime
@@ -62,36 +60,8 @@ def tau_of(n: int, table: TauTable) -> int:
     return result
 
 
-def quartic_identity_check(p: int, tau_p: int) -> bool:
-    """Recurrence at exponent 4 versus its closed quartic form.
-
-    tau(p^4) = tau(p)^4 - 3 p^11 tau(p)^2 + p^22 holds as a polynomial
-    identity in the seed, so this is true for any integer tau_p.
-    """
-    p11 = p ** 11
-    closed = tau_p ** 4 - 3 * p11 * tau_p ** 2 + p11 * p11
-    return tau_prime_power(tau_p, p, 4) == closed
-
-
 def is_ordinary(ell: int, tau_ell: int) -> bool:
     """True when the odd prime ell does not divide tau(ell)."""
     if ell == 2 or not is_prime(ell):
         raise ValueError(f"ell={ell} must be an odd prime")
     return tau_ell % ell != 0
-
-
-def admissible_exponents(ell: int) -> set[int]:
-    """Odd primes d dividing ell * (ell^2 - 1).
-
-    Solutions of tau(n) = +-ell^m with ell ordinary are forced into the shape
-    n = p^(d-1) with d drawn from this set, so it drives survey layering.
-    """
-    if ell == 2 or not is_prime(ell):
-        raise ValueError(f"ell={ell} must be an odd prime")
-    out = {ell}
-    for part in (ell - 1, ell + 1):
-        found, cofactor = factor_trial(part, math.isqrt(part) + 1)
-        out.update(q for q in found if q != 2)
-        if cofactor > 2:
-            out.add(cofactor)
-    return out

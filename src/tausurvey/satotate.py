@@ -3,9 +3,11 @@
 Writing tau(p) = 2 p^(11/2) cos(theta_p) (legal by the Deligne bound), the
 angles equidistribute with density (2/pi) sin^2(theta) on [0, pi], and
 tau(p^r) = p^(11r/2) U_r(cos theta_p) with U_r the Chebyshev polynomial of
-the second kind.  This module produces the angle samples, checks the
-Chebyshev identity against the exact recurrence, bins angles against the
-sin^2 measure, and evaluates the layered predictor C X^(1/(11m)) / (ln X)^2.
+the second kind.  This module produces the angle samples, bins angles
+against the sin^2 measure, and evaluates the layered predictor
+C X^(1/(11m)) / (ln X)^2.  Its records (AngleSample, Histogram,
+HeuristicPrediction) are immutable NamedTuples: tuples that compare by
+value, updated with _replace.
 
 Floats are fine for statistics; the only correctness gate (the Deligne
 inequality itself) is checked in exact integer arithmetic first.
@@ -15,15 +17,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .delta import TauTable
 from .errors import DeligneViolationError, ResourceLimitError
-from .hecke import tau_prime_power
 from .primes import cached_primes
-
-CHEBYSHEV_MAX_ORDER = 20  # float-range guard for the identity check
 
 # X^(1/(11m)) >= 2 needs m <= log2(X)/11, which is below 94 for every finite
 # float X, so layers past that each add less than 2C/(ln X)^2; this round cap
@@ -36,15 +34,13 @@ PREDICT_LAYER_MAX = 1024
 _RESCALE = 354
 
 
-@dataclass(frozen=True)
-class AngleSample:
+class AngleSample(NamedTuple):
     p: int
     cos_theta: float
     theta: float
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     edges: tuple[float, ...]
     observed: tuple[int, ...]
     expected_mass: tuple[float, ...]
@@ -81,25 +77,6 @@ def chebyshev_u(r: int, x: float) -> float:
     for _ in range(r - 1):
         prev, cur = cur, 2.0 * x * cur - prev
     return cur
-
-
-def chebyshev_check(p: int, tau_p: int, r: int, tol: float) -> bool:
-    """Exact tau(p^r) versus p^(11r/2) U_r(cos theta_p), within tol*(r+1).
-
-    Both sides are compared after dividing by p^(11r/2); the exact side is
-    scaled with Fraction so the quotient is correctly rounded even when the
-    raw integers dwarf the float range.
-    """
-    if r > CHEBYSHEV_MAX_ORDER:
-        raise ValueError(f"r must be <= {CHEBYSHEV_MAX_ORDER}")
-    sample = angle(p, tau_p)
-    exact = tau_prime_power(tau_p, p, r)
-    if r % 2 == 0:
-        scaled = float(Fraction(exact, p ** (11 * r // 2)))
-    else:
-        magnitude = math.sqrt(float(Fraction(exact * exact, p ** (11 * r))))
-        scaled = math.copysign(magnitude, exact)
-    return abs(scaled - chebyshev_u(r, sample.cos_theta)) <= tol * (r + 1)
 
 
 def angle_cdf(theta: float) -> float:
@@ -184,8 +161,7 @@ def chebyshev_magnitude_proportion(samples: list[AngleSample], m: int, threshold
     return hits / len(samples)
 
 
-@dataclass(frozen=True)
-class HeuristicPrediction:
+class HeuristicPrediction(NamedTuple):
     X: float
     C: float
     layers: tuple[tuple[int, float], ...]

@@ -10,11 +10,11 @@ They double as the independent reference implementations for the test suite.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import math
 from typing import IO
 
+from . import cli
 from .abctriples import DEFAULT_BUDGET, AbcTriple, from_near_point, radical_budgeted
 from .curves import CurveKind, NearPoint, exact_count, near_points
 from .delta import TauTable, _cube_series_square, delta_coefficients, tau_parity
@@ -135,7 +135,7 @@ def naive_abc_triples(kind: CurveKind, X: int, x_min: int, x_max: int) -> list[A
         rad = naive_radical(abs(t.a1 * t.b1 * t.c1))
         top = max(abs(t.a1), abs(t.b1), abs(t.c1))
         quality = math.log(top) / math.log(rad) if rad > 1 else None
-        triples.append(dataclasses.replace(t, rad=rad, rad_complete=True, quality=quality))
+        triples.append(t._replace(rad=rad, rad_complete=True, quality=quality))
     return triples
 
 
@@ -154,8 +154,6 @@ def abc_output_pair(
 
     The expected side builds one record per point and writes it through
     emit without `mirrored`, so the mirror memo runs on one side only."""
-    from . import cli  # imported here: cli imports this module
-
     argv = ["abc", "--kind", kind.value, "--X", str(X), "--x-min", "1", "--x-max", str(x_max),
             "--format", fmt, "--budget", str(budget), "--seed", "0", "--C", repr(C)]
     if epsilon is not None:

@@ -28,13 +28,14 @@ report is the same for every worker count.
 
 No finite window is provably exhaustive (absent a lower bound on |tau|), so
 every count reported here is an observed lower bound, and the reports say so.
+The records and reports are immutable NamedTuples: tuples that compare by
+value, updated with _replace.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, NamedTuple
 
@@ -69,8 +70,7 @@ OMITTED_VALUES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
     """One candidate |tau(p^(2m))| = ell that survived the primality test."""
 
     ell: int
@@ -81,8 +81,7 @@ class SurveyRecord:
     ordinary: bool | None
 
 
-@dataclass(frozen=True)
-class SurveyLayer:
+class SurveyLayer(NamedTuple):
     m: int
     p_window: int
     truncated: bool
@@ -93,14 +92,13 @@ class SurveyLayer:
         return {r.ell for r in self.records}
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     X: int
     m_max: int
     layers: tuple[SurveyLayer, ...]
     primes: tuple[int, ...]
     truncated: bool
-    terms: dict[str, float] = field(default_factory=dict)
+    terms: dict[str, float]
     windowed: bool = True
     caveat: str = WINDOW_CAVEAT
 
@@ -109,8 +107,7 @@ class SurveyReport:
         return len(self.primes)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     """Survey plus the windowed near-point tail counts, for tabulation."""
 
     survey: SurveyReport

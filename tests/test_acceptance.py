@@ -13,17 +13,17 @@ from tausurvey.abctriples import abc_check, make_triple
 from tausurvey.cli import dispatch
 from tausurvey.curves import CurveKind, exact_count, near_points
 from tausurvey.delta import delta_coefficients, tau_parity, verify_deligne
-from tausurvey.hecke import quartic_identity_check, tau_of, tau_prime_power
+from tausurvey.hecke import tau_of, tau_prime_power
 from tausurvey.primes import PrimalityVerdict, cached_primes, classify_prime
 from tausurvey.satotate import (
     angle_cdf,
     angles_from_table,
-    chebyshev_check,
     heuristic_prediction,
     st_histogram,
 )
 from tausurvey.selftest import naive_near_points
 from tausurvey.survey import layer_cap, omitted_values_check
+from tau_identities import chebyshev_check, quartic_identity_check
 
 LEHMER = -80561663527802406257321747
 

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import bisect
 import csv
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -268,8 +270,10 @@ def test_usage_errors():
 @pytest.mark.parametrize(
     "argv, message",
     [(["tau", "--n", "-5", "--square"], "n must be >= 1"),
-     (["tau", "--max", "3", "--square"], "--square applies to --n only")],
-    ids=["negative-n-squared", "max-squared"],
+     (["tau", "--max", "3", "--square"], "--square applies to --n only"),
+     (["tau", "--max", "-3"], "--max must be >= 1"),
+     (["tau", "--max", "0"], "--max must be >= 1")],
+    ids=["negative-n-squared", "max-squared", "negative-max", "zero-max"],
 )
 def test_tau_flag_misuse_is_usage_error_before_the_table(argv, message, monkeypatch):
     def no_table(*args, **kwargs):
@@ -421,6 +425,24 @@ def test_bad_config_value_is_usage_error(tmp_path):
     code, _, err = run(["count", "--kind", "deg11", "--x-max", "2", "--config", str(cfg)])
     assert code == 2
     assert "config key X" in err.splitlines()[0]
+
+
+def test_config_key_naming_no_knob_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("X=10\nxmax=2\n")
+    code, out, err = run(["count", "--kind", "deg11", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    first = err.splitlines()[0]
+    assert first.startswith("usage error: config key 'xmax'") and str(cfg) in first
+    assert "Traceback" not in err
+
+
+def test_config_key_of_another_subcommand_is_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("X=10\nbins=1\nseed=-1\n")  # sato-tate's and abc's, both invalid
+    want = run(["count", "--kind", "deg11", "--X", "10"])
+    assert want[0] == 0
+    assert run(["count", "--kind", "deg11", "--config", str(cfg)]) == want
 
 
 @pytest.mark.parametrize(
@@ -719,6 +741,25 @@ def test_cli_import_loads_no_third_party_numerics():
 
 def test_cli_import_loads_no_multiprocessing():
     assert _modules_loaded_by_cli_import({"multiprocessing"}) == "[]\n"
+
+
+def _perfbench_traced_modules():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {module for module, _, _ in tracer.TRACED.values()}
+
+
+def test_cli_import_loads_what_the_tracer_wraps_and_no_more():
+    loaded = set(ast.literal_eval(
+        _modules_loaded_by_cli_import({"dataclasses", "inspect", "fractions", "tausurvey"})
+    ))
+    # Start-up cost: none of these serves a subcommand; --self-test loads its own.
+    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "tausurvey.selftest"})
+    # The tracer wraps functions of modules already imported, and the benchmark
+    # times satotate's import, so none of these may become a lazy import.
+    assert _perfbench_traced_modules() | {"tausurvey.satotate"} <= loaded
 
 
 # ------------------------------- worker pool -------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 from decimal import Decimal, Inexact, Rounded
 
@@ -170,6 +171,11 @@ def test_table_indexing():
 def test_table_constructor_validates():
     with pytest.raises(ValueError):
         TauTable(3, (1, -24))
+    table = delta_coefficients(30)
+    with pytest.raises(ValueError):
+        table._replace(coeffs=table.coeffs[:-1])
+    assert table._replace(N=3, coeffs=table.coeffs[:3]) == TauTable(3, (1, -24, 252))
+    assert pickle.loads(pickle.dumps(table)) == table
 
 
 def test_series_ceiling():

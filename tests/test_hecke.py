@@ -4,15 +4,9 @@ import pytest
 
 from tausurvey import hecke
 from tausurvey.errors import OutOfRangeError
-from tausurvey.hecke import (
-    admissible_exponents,
-    is_ordinary,
-    lucas_u,
-    quartic_identity_check,
-    tau_of,
-    tau_prime_power,
-)
+from tausurvey.hecke import is_ordinary, lucas_u, tau_of, tau_prime_power
 from tausurvey.primes import cached_primes, sieve_primes
+from tau_identities import admissible_exponents, quartic_identity_check
 
 LEHMER_PRIME_SQUARE = -80561663527802406257321747
 

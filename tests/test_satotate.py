@@ -13,12 +13,12 @@ from tausurvey.satotate import (
     angle,
     angle_cdf,
     angles_from_table,
-    chebyshev_check,
     chebyshev_magnitude_proportion,
     chebyshev_u,
     heuristic_prediction,
     st_histogram,
 )
+from tau_identities import chebyshev_check
 
 CLOSED_MIDDLE_THIRD = 1 / 3 + math.sqrt(3) / (2 * math.pi)
 
