@@ -7,8 +7,9 @@ also be supplied through an environment variable with the TAUSURVEY_ prefix
 (flag --x-max becomes TAUSURVEY_X_MAX; flags win), or through a key=value
 config file passed with --config (lowest precedence), and one parser reads it
 from all three.  Env and config values of other knobs are ignored, but a
-config key that names no knob at all is a usage error.  predict's X alone is
-a real number instead of an integer, from every source.
+config line that is not key=value (blank lines and # comments aside), or
+whose key names no knob at all, is a usage error.  predict's X alone is a
+real number instead of an integer, from every source.
 
 emit is the only serializer: each subcommand builds its records once and
 hands them to emit, which writes JSON lines or CSV rows in chunks of 64 KiB
@@ -16,14 +17,16 @@ of characters, not one write per line (a chunk is written once it reaches
 that size, so it runs past it by at most one line).  survey, report,
 sato-tate and predict write one JSON document, and their CSV holds its flat
 rows; tau --n alone prints a bare integer in either format.  abc lists each
-record at both points of a mirror pair, and emit encodes it once.  Big
-integers are always emitted as decimal strings, floats are rounded to 12
-significant digits before serialization, and record streams are canonically
-sorted, so identical configurations reproduce identical bytes.  The
---workers knob must be positive and defaults to the usable CPU count; survey
-and report run their primality tests on a pool of at most that many
-processes (never more than the usable CPUs), every other subcommand ignores
-it, and the output bytes are the same for every value.
+record at both points of a mirror pair, and emit encodes it once.  Values
+of tau, primes, y, k, the abc legs and radicals, and X are emitted as
+decimal strings; counts (count's small/mid/subunit/total, report's
+e2_windowed/e4_windowed) are exact JSON integers of any size.  Floats are
+rounded to 12 significant digits before serialization, and record streams
+are canonically sorted, so identical configurations reproduce identical
+bytes.  The --workers knob must be positive and defaults to the usable CPU
+count; survey and report run their primality tests on a pool of at most
+that many processes (never more than the usable CPUs), every other
+subcommand ignores it, and the output bytes are the same for every value.
 
 Exit codes: 0 success, 1 invariant violation found, 2 usage error,
 3 resource limit exceeded.
@@ -137,8 +140,7 @@ _KNOBS = {
     "budget": _Knob(int, abctriples.DEFAULT_BUDGET, "non-negative", _non_negative, ("abc",)),
     "series_max": _Knob(int, SERIES_MAX_DEFAULT, "positive", _positive, _TABLE_COMMANDS),
     "scan_ceiling": _Knob(
-        int, curves.FULL_SCAN_CEILING, "positive", _positive,
-        ("near-points", "count", "abc", "report"),
+        int, curves.FULL_SCAN_CEILING, "positive", _positive, ("near-points", "abc")
     ),
 }
 
@@ -153,15 +155,18 @@ _KNOB_BY_LOWER = {key.lower(): key for key in _KNOBS}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """The key=value pairs of a config file, by knob name.  A key that names
-    no knob is a usage error; a knob of another subcommand is read and then
-    ignored by _resolve."""
+    """The key=value pairs of a config file, by knob name.  A line that is
+    neither blank, a # comment nor key=value, and a key that names no knob,
+    are usage errors; a knob of another subcommand is read and then ignored
+    by _resolve."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"line {number} of {path} is not key=value: {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
             knob = _KNOB_BY_LOWER.get(key.lower())
@@ -388,12 +393,7 @@ def _cmd_near_points(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> 
 
 
 def _cmd_count(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
-    rep = curves.exact_count(
-        curves.CurveKind(args.kind),
-        cfg.X,
-        cfg.x_max,
-        ceiling=cfg.scan_ceiling,
-    )
+    rep = curves.exact_count(curves.CurveKind(args.kind), cfg.X, cfg.x_max)
     record = {
         "kind": rep.kind.value,
         "X": str(rep.X),
@@ -512,9 +512,7 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
             n for n, t in table.iter_records() if (t % 2 == 1) != tau_parity(n)
         ],
     }
-    reduction = survey_mod.reduction_report(
-        cfg.X, table, cfg.x_max, workers=cfg.workers, ceiling=cfg.scan_ceiling
-    )
+    reduction = survey_mod.reduction_report(cfg.X, table, cfg.x_max, workers=cfg.workers)
     head = {"X": str(cfg.X), "N": table.N, "x_max": cfg.x_max, "count": reduction.survey.count}
     terms = {k: _f(v) for k, v in reduction.survey.terms.items()}
     terms["e2_windowed"] = reduction.e2_windowed

@@ -9,10 +9,11 @@ point; defects 4*prime play that role for the degree-22 family.
 Both paths start from the same per-x band bounds y_lo <= y <= y_hi, found
 with math.isqrt.  Enumeration walks that run, so each abscissa costs
 O(band / x^(11/2)) candidate checks; past the sub-unit cutoff that is O(1)
-per x.  Counting never enumerates: the size of the run gives the count at x
-in O(1) isqrt arithmetic, and it is split into the three regimes (small /
-mid / sub-unit) whose boundaries are evaluated with exact integer power
-comparisons, never floats.
+per x.  A run wider than the scan ceiling is refused before any point of it
+is built.  Counting never enumerates, so no ceiling applies to it: the size
+of the run gives the count at x in O(1) isqrt arithmetic, and it is split
+into the three regimes (small / mid / sub-unit) whose boundaries are
+evaluated with exact integer power comparisons, never floats.
 
 NearPoint and RegimeReport are immutable NamedTuples: tuples that compare
 and hash by value, updated with _replace.
@@ -25,9 +26,9 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import ResourceLimitError
-from .primes import is_prime, is_square
+from .primes import is_square
 
-# Widest per-x candidate run a single call may scan (resource guard, not a
+# Widest per-x candidate run near_points may enumerate (resource guard, not a
 # correctness parameter: the enumerated set never depends on it).
 FULL_SCAN_CEILING = 100_000_000
 
@@ -80,27 +81,26 @@ class RegimeReport(NamedTuple):
         return self.small + self.mid + self.subunit
 
 
-def _y_band(kind: CurveKind, X: int, x: int, ceiling: int) -> tuple[int, int, int]:
-    """(central, y_lo, y_hi): the y >= 0 whose square lies in the band at x.
-
-    Raises ResourceLimitError when the run of candidates exceeds the ceiling,
-    so scanning and counting refuse the same abscissa.
-    """
+def _y_band(kind: CurveKind, X: int, x: int) -> tuple[int, int, int]:
+    """(central, y_lo, y_hi): the y >= 0 whose square lies in the band at x."""
     central = kind.central(x)
     band = kind.band(X)
     lo = central - band
     y_lo = 0 if lo <= 0 else math.isqrt(lo - 1) + 1
-    y_hi = math.isqrt(central + band)
+    return central, y_lo, math.isqrt(central + band)
+
+
+def _scan_x(kind: CurveKind, X: int, x: int, ceiling: int) -> list[NearPoint]:
+    """All near-points at one abscissa in canonical order: y ascending.
+
+    Raises ResourceLimitError when the run of candidates exceeds the ceiling,
+    before any point is built.
+    """
+    central, y_lo, y_hi = _y_band(kind, X, x)
     if y_hi - y_lo + 1 > ceiling:
         raise ResourceLimitError(
             f"x={x}: {y_hi - y_lo + 1} y-candidates exceed the scan ceiling {ceiling}"
         )
-    return central, y_lo, y_hi
-
-
-def _scan_x(kind: CurveKind, X: int, x: int, ceiling: int) -> list[NearPoint]:
-    """All near-points at one abscissa in canonical order: y ascending."""
-    central, y_lo, y_hi = _y_band(kind, X, x, ceiling)
     positive = [
         (y, k)
         for y in range(max(y_lo, 1), y_hi + 1)
@@ -135,26 +135,21 @@ def near_points(
     return points
 
 
-def exact_count(
-    kind: CurveKind,
-    X: int,
-    x_max: int,
-    *,
-    ceiling: int = FULL_SCAN_CEILING,
-) -> RegimeReport:
+def exact_count(kind: CurveKind, X: int, x_max: int) -> RegimeReport:
     """Near-point count over 1 <= x <= x_max, dissected into the three regimes.
 
     Nothing is enumerated: each abscissa contributes 2 per y in [y_lo, y_hi]
     (one per sign), less one when y = 0 is among them and less two when the
     central value is an exact square (its root has defect 0).  The total
-    equals len(near_points(kind, X, 1, x_max)); the dissection is
-    bookkeeping only.
+    equals len(near_points(kind, X, 1, x_max)) wherever that enumeration fits
+    under the scan ceiling; the count builds no point, so no ceiling applies
+    to it.  The dissection is bookkeeping only.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
     counts = {"small": 0, "mid": 0, "subunit": 0}
     for x in range(1, x_max + 1):
-        central, y_lo, y_hi = _y_band(kind, X, x, ceiling)
+        central, y_lo, y_hi = _y_band(kind, X, x)
         n = 2 * (y_hi - y_lo + 1) - (y_lo == 0)
         if is_square(central):
             n -= 2
@@ -165,42 +160,3 @@ def exact_count(
         else:
             counts["mid"] += n
     return RegimeReport(kind, X, x_max, counts["small"], counts["mid"], counts["subunit"])
-
-
-def window_count(
-    kind: CurveKind,
-    X: int,
-    x_max: int,
-    *,
-    ceiling: int = FULL_SCAN_CEILING,
-) -> int:
-    """Near-points past the sub-unit cutoff, windowed to x <= x_max.
-
-    The unbounded-x quantity this approximates cannot be enumerated on a
-    finite machine, so the result is a lower bound for it.
-    """
-    return exact_count(kind, X, x_max, ceiling=ceiling).subunit
-
-
-def prime_parameters(
-    kind: CurveKind,
-    X: int,
-    x_max: int,
-    *,
-    ceiling: int = FULL_SCAN_CEILING,
-) -> set[int]:
-    """Primes ell <= X realized as twist parameters by some near-point.
-
-    DEG11 takes ell = |k|; DEG22 needs |k| = 4 * ell, so only defects
-    divisible by 4 with prime quarter qualify.
-    """
-    params = set()
-    for pt in near_points(kind, X, 1, x_max, ceiling=ceiling):
-        mag = abs(pt.k)
-        if kind is CurveKind.DEG22:
-            if mag % 4:
-                continue
-            mag //= 4
-        if mag <= X and mag not in params and is_prime(mag):
-            params.add(mag)
-    return params

@@ -344,18 +344,12 @@ def omitted_values_check(table: TauTable) -> list[tuple[int, int]]:
     ]
 
 
-def reduction_report(
-    X: int,
-    table: TauTable,
-    x_max: int,
-    *,
-    workers: int = 1,
-    ceiling: int = curves.FULL_SCAN_CEILING,
-) -> ReductionReport:
+def reduction_report(X: int, table: TauTable, x_max: int, *, workers: int = 1) -> ReductionReport:
     """Observed S(X) side by side with the analytic terms and the windowed
-    near-point tail counts of both curve families; ceiling is the per-x scan
-    ceiling of those counts."""
+    near-point tail counts of both curve families: the sub-unit counts of
+    curves.exact_count over x <= x_max.  The unbounded-x tails they stand for
+    cannot be counted on a finite machine, so each is a lower bound."""
     base = survey(X, table, workers=workers)
-    e2 = curves.window_count(curves.CurveKind.DEG11, X, x_max, ceiling=ceiling)
-    e4 = curves.window_count(curves.CurveKind.DEG22, X, x_max, ceiling=ceiling)
+    e2 = curves.exact_count(curves.CurveKind.DEG11, X, x_max).subunit
+    e4 = curves.exact_count(curves.CurveKind.DEG22, X, x_max).subunit
     return ReductionReport(base, x_max, e2, e4)

@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 import tausurvey
 from tausurvey import cli, survey as survey_mod
 from tausurvey.cli import _big_int, dispatch
+from tausurvey.delta import delta_coefficients
+from tausurvey.hecke import tau_of
 
 
 def run(argv, env=None, monkeypatch=None):
@@ -322,13 +324,14 @@ def test_resource_limit_exit():
     assert "resource limit" in err
 
 
-def test_report_honours_scan_ceiling():
-    code, out, err = run(
-        ["report", "--X", "1e6", "--N", "500", "--x-max", "3", "--scan-ceiling", "1"]
-    )
-    assert (code, out) == (3, "")
-    assert err.startswith("resource limit: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+def test_report_lists_the_smallest_prime_value():
+    # |tau(251^2)| ~ 8.06e25, the paper's smallest prime value; the windowed
+    # tail counts at X = 1e26 are closed-form, with no scan ceiling
+    code, out, err = run(["report", "--X", "1e26", "--N", "300", "--x-max", "3"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["count"] == 1
+    assert doc["primes"] == [str(abs(tau_of(251 ** 2, delta_coefficients(300))))]
 
 
 def test_out_of_range_exit():
@@ -437,6 +440,17 @@ def test_config_key_naming_no_knob_is_usage_error(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["X 1e26", "x_max", "X:10"])
+def test_config_line_without_equals_is_usage_error(line, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\n\nN=300\n{line}\n")
+    code, out, err = run(["survey", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    first = err.splitlines()[0]
+    assert first.startswith("usage error: line 4 of ") and str(cfg) in first
+    assert "Traceback" not in err
+
+
 def test_config_key_of_another_subcommand_is_ignored(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("X=10\nbins=1\nseed=-1\n")  # sato-tate's and abc's, both invalid
@@ -533,9 +547,22 @@ def test_non_finite_integer_x_is_usage_error(text):
 
 def test_largest_accepted_x_reaches_the_scan():
     # 1e4299 parses (4300 digits); the band at x = 1 then exceeds the ceiling
-    code, out, err = run(["count", "--kind", "deg11", "--X", "1e4299", "--x-max", "1"])
+    # of the enumeration, while the count needs no ceiling
+    code, out, err = run(["near-points", "--kind", "deg11", "--X", "1e4299", "--x-max", "1"])
     assert (code, out) == (3, "")
     assert err.startswith("resource limit: x=1:")
+    code, out, err = run(["count", "--kind", "deg11", "--X", "1e4299", "--x-max", "1"])
+    assert (code, err) == (0, "")
+    # y in [0, isqrt(10^4299 + 1)] by sign, y = 0 once, y = +-1 at defect 0
+    assert json.loads(out)["total"] == 2 * math.isqrt(10 ** 4299 + 1) - 1
+
+
+def test_counts_are_exact_json_integers_of_any_size():
+    code, out, err = run(["count", "--kind", "deg11", "--X", "1e60", "--x-max", "1"])
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["total"] == 2 * 10 ** 30 - 1
+    assert record["X"] == str(10 ** 60)
 
 
 def test_scientific_notation_x():
@@ -546,20 +573,19 @@ def test_scientific_notation_x():
 
 # ----------------------- each subcommand's own knobs -----------------------
 
-# The knob flags of each subcommand: 49 in all.  It resolves these knobs, and
+# The knob flags of each subcommand: 47 in all.  It resolves these knobs, and
 # reads the env and config value of no other.
 KNOB_FLAGS = {
     "tau": {"--N", "--format", "--workers", "--series-max"},
     "parity": {"--format", "--workers"},
     "survey": {"--N", "--X", "--format", "--workers", "--series-max"},
     "near-points": {"--X", "--x-min", "--x-max", "--format", "--workers", "--scan-ceiling"},
-    "count": {"--X", "--x-max", "--format", "--workers", "--scan-ceiling"},
+    "count": {"--X", "--x-max", "--format", "--workers"},
     "abc": {"--X", "--x-min", "--x-max", "--epsilon", "--C", "--format", "--seed", "--workers",
             "--budget", "--scan-ceiling"},
     "sato-tate": {"--N", "--bins", "--format", "--workers", "--series-max"},
     "predict": {"--X", "--m-max", "--C", "--format", "--workers"},
-    "report": {"--N", "--X", "--x-max", "--format", "--workers", "--series-max",
-               "--scan-ceiling"},
+    "report": {"--N", "--X", "--x-max", "--format", "--workers", "--series-max"},
 }
 
 # A quick run of each subcommand, exit 0.
@@ -597,8 +623,8 @@ def test_each_subcommand_has_exactly_its_knob_flags():
         for name, sub in subs.items()
     }
     assert flags == KNOB_FLAGS
-    assert sum(map(len, flags.values())) == 49
-    assert len(REFUSED_FLAGS) == 23
+    assert sum(map(len, flags.values())) == 47
+    assert len(REFUSED_FLAGS) == 25
     for name, sub in subs.items():
         casts = sub.get_default("knob_casts")
         assert {_flag(knob) for knob in casts} == KNOB_FLAGS[name]
@@ -655,8 +681,9 @@ def test_predict_non_finite_x_is_usage_error_from_every_source(
     assert "not a finite number" in err and "Traceback" not in err
 
 
-# Flags of the four knobs that every subcommand took, on the subcommands that
-# never read them: 23 in all.
+# Flags of the four knobs that every subcommand once took, on the subcommands
+# that do not read them: 25 in all (scan_ceiling only bounds the enumeration
+# of near-points and abc, so count and report refuse it too).
 REFUSED_FLAGS = [
     (command, _flag(knob))
     for knob in ("N", "series_max", "seed", "scan_ceiling")

@@ -1,15 +1,10 @@
 import pytest
 
-from tausurvey.curves import (
-    CurveKind,
-    NearPoint,
-    exact_count,
-    near_points,
-    prime_parameters,
-    window_count,
-)
+from tausurvey.curves import CurveKind, NearPoint, exact_count, near_points
+from tausurvey.delta import delta_coefficients
 from tausurvey.errors import ResourceLimitError
 from tausurvey.selftest import naive_near_points, naive_regime_counts
+from tausurvey.survey import reduction_report
 
 
 def as_tuples(points):
@@ -82,40 +77,17 @@ def test_total_matches_enumeration():
             assert rep.total == len(near_points(kind, X, 1, 25))
 
 
-def test_total_invariant_under_scan_ceiling():
-    a = exact_count(CurveKind.DEG11, 1000, 25, ceiling=10 ** 8)
-    b = exact_count(CurveKind.DEG11, 1000, 25, ceiling=10 ** 3)
-    assert (a.small, a.mid, a.subunit) == (b.small, b.mid, b.subunit)
-
-
 def test_window_counts():
-    assert window_count(CurveKind.DEG11, 100, 10) == 2
-    assert window_count(CurveKind.DEG11, 1, 50) == 0
+    assert exact_count(CurveKind.DEG11, 100, 10).subunit == 2
+    assert exact_count(CurveKind.DEG11, 1, 50).subunit == 0
     # window empty when x_max sits at or below the cutoff
-    assert window_count(CurveKind.DEG11, 10 ** 4, 5) == 0
+    assert exact_count(CurveKind.DEG11, 10 ** 4, 5).subunit == 0
 
 
 def test_window_is_subunit_count():
-    for kind in CurveKind:
-        rep = exact_count(kind, 500, 20)
-        assert window_count(kind, 500, 20) == rep.subunit
-
-
-def test_prime_parameters():
-    params = prime_parameters(CurveKind.DEG11, 1000, 10)
-    assert 937 in params  # 422^2 - 3^11 = 937
-    assert 94 not in prime_parameters(CurveKind.DEG11, 100, 10)  # 94 = 2 * 47
-    assert prime_parameters(CurveKind.DEG11, 1, 10) == set()
-
-
-def test_prime_parameters_deg22_quarters():
-    params = prime_parameters(CurveKind.DEG22, 10 ** 4, 10)
-    for ell in params:
-        found = False
-        for p in near_points(CurveKind.DEG22, 10 ** 4, 1, 10):
-            if abs(p.k) == 4 * ell:
-                found = True
-        assert found
+    rep = reduction_report(500, delta_coefficients(100), 20, workers=1)
+    assert rep.e2_windowed == exact_count(CurveKind.DEG11, 500, 20).subunit
+    assert rep.e4_windowed == exact_count(CurveKind.DEG22, 500, 20).subunit
 
 
 def test_scan_ceiling_error():
@@ -138,18 +110,17 @@ def test_exact_count_frozen_large_case():
     assert (rep.small, rep.mid, rep.subunit) == (26609494, 3630432, 66)
 
 
-def test_exact_count_scan_ceiling_error():
-    with pytest.raises(ResourceLimitError) as counted:
-        exact_count(CurveKind.DEG11, 10 ** 30, 3, ceiling=10 ** 6)
+def test_scan_ceiling_applies_to_enumeration_only():
     with pytest.raises(ResourceLimitError) as scanned:
         near_points(CurveKind.DEG11, 10 ** 30, 1, 3, ceiling=10 ** 6)
-    assert str(counted.value) == str(scanned.value)
-    assert str(counted.value).startswith("x=1:")
+    assert str(scanned.value).startswith("x=1:")
+    # the same band is counted in closed form: at x = 1, y in [0, 10^15]
+    # (y = +-1 has defect 0), and x = 1 is the small regime
+    assert exact_count(CurveKind.DEG11, 10 ** 30, 1) == (
+        CurveKind.DEG11, 10 ** 30, 1, 2 * 10 ** 15 - 1, 0, 0
+    )
     # X = 10, x = 1: y in [0, 3] is four candidates, exactly at a ceiling of 4
-    assert exact_count(CurveKind.DEG11, 10, 1, ceiling=4).total == 5
     assert len(near_points(CurveKind.DEG11, 10, 1, 1, ceiling=4)) == 5
-    with pytest.raises(ResourceLimitError):
-        exact_count(CurveKind.DEG11, 10, 1, ceiling=3)
     with pytest.raises(ResourceLimitError):
         near_points(CurveKind.DEG11, 10, 1, 1, ceiling=3)
 
