@@ -617,6 +617,10 @@ def dispatch(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | N
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.self_test:
+        # Under `python -m tausurvey.cli` this module runs as __main__: register
+        # it under its package name, so the self-test's `from . import cli`
+        # uses it instead of compiling cli.py a second time.
+        sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
         from .selftest import run_self_test  # loaded only for the run that needs it
 
         return 0 if run_self_test(out) else 1

@@ -11,9 +11,14 @@ only about sqrt(2N) terms, so its square (the 6th power) is summed pair by
 pair; the two dense squarings after it (6th -> 12th -> 24th power) use
 Kronecker substitution in base 10^w: coefficients are packed as fixed-width
 decimal slots into one Decimal, squared exactly by libmpdec (a
-number-theoretic transform at these sizes, so near-linear in N), and
-unpacked with a balanced-digit borrow pass, so no Python-level O(N^2) loop
-is needed.
+number-theoretic transform at these sizes, so near-linear in N), cut to the
+low half that the truncated product needs, and unpacked with a
+balanced-digit borrow pass, so no Python-level O(N^2) loop is needed.
+Packing and unpacking go through Decimals of one batch of slots each (joined
+pairwise on the way in, split by shifts on the way out), so no digit string
+of a whole operand or product is built, and each squaring drops the
+coefficient list before it multiplies: the transform's own buffers set the
+build's peak memory.
 
 The table is a TauTable, an immutable NamedTuple (N, coeffs): a tuple that
 compares and hashes by value, updated only by _replace, which checks the
@@ -43,9 +48,10 @@ from .primes import cached_primes, is_square
 # Series builds beyond this order are refused (memory/time guard, checked
 # before any allocation).  Measured build time / peak RSS of a whole process
 # that builds one table (Python 3.11.7, libmpdec 2.5.1, 2-core VM):
-# N = 200k 1.2-1.4 s / 85 MiB, 400k 2.7-3.7 s / 154 MiB, 1M 10.2-11.6 s /
-# 297 MiB, 1.5M 16.0-16.3 s / 425 MiB.  The default covers the m = 1 survey
-# window (3X)^(1/11) <= N up to X of about 2.9e67.
+# N = 200k 1.2 s / 39 MiB, 400k 2.5 s / 69 MiB, 1M 7.8-8.0 s / 192 MiB,
+# 1.5M 10.9-11.6 s / 320 MiB (247-335 MiB, depending on what the process
+# allocated before the build).  The default covers the m = 1 survey window
+# (3X)^(1/11) <= N up to X of about 2.9e67.
 SERIES_MAX_DEFAULT = 1_500_000
 
 # Exact integer arithmetic for the Kronecker squarings: unbounded precision,
@@ -129,30 +135,24 @@ def _cube_series_square(top: int) -> list[int]:
     return out
 
 
-# Slots folded and formatted per batch, so the pack holds one Python object
-# per slot only for a batch at a time, never for the whole polynomial.
+# Slots folded and formatted per batch, so packing and unpacking hold one
+# Python object or string per slot only for a batch at a time, never for the
+# whole polynomial.
 _PACK_BATCH = 4096
 
 
-def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
-    """Exact truncated square of a signed integer polynomial.
+def _pack(coeffs: list[int], max_exp: int) -> tuple[Decimal, int]:
+    """Kronecker operand of coeffs[:max_exp + 1] and its slot width w.
 
-    Kronecker substitution in base 10^w: evaluate at 10^w with w wide enough
-    that every product coefficient fits in a signed slot, square the
-    resulting Decimal (libmpdec multiplies operands this large with a
-    number-theoretic transform), then read fixed-width decimal slots back
-    with a balanced-digit borrow pass.  The context traps Inexact and
-    Rounded, so a product that does not fit raises instead of corrupting
-    the coefficients.
-
-    The operand is packed as one Decimal: a borrow pass, low slot first,
-    folds the signs into base-10^w digits in [0, 10^w), and a borrow left
-    over at the top stands for -10^(w * slots), subtracted once.
+    w is wide enough that every coefficient of the truncated square fits in
+    a signed slot.  A borrow pass, low slot first, folds the signs into
+    base-10^w digits in [0, 10^w); each batch of slots becomes one Decimal,
+    and neighbouring Decimals are joined pairwise, so no digit string of
+    the whole operand is built.  A borrow left over at the top stands for
+    -10^(w * slots), subtracted once.  The caller's list is only read.
     """
     low = coeffs[: max_exp + 1]  # terms above max_exp cannot reach the result
     peak = max(max(low, default=0), -min(low, default=0))
-    if peak == 0:
-        return [0] * (max_exp + 1)
     # |product coefficient| <= len * peak^2 < 10^w / 2
     w = len(str(2 * len(low) * peak * peak))
 
@@ -160,7 +160,7 @@ def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
     full = 10**w
     slot = f"%0{w}d"
     borrow = False
-    batches = []
+    pieces = []  # one Decimal per batch, low batch first
     for start in range(0, slots, _PACK_BATCH):
         digits = low[start : start + _PACK_BATCH]
         for k, c in enumerate(digits):
@@ -168,25 +168,60 @@ def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
             borrow = c < 0
             digits[k] = c + full if borrow else c
         digits.reverse()
-        batches.append(slot * len(digits) % tuple(digits))
-    del low, digits
-    batches.reverse()
-    packed = Decimal("".join(batches))
-    del batches
+        pieces.append(Decimal(slot * len(digits) % tuple(digits)))
+    del low
+    width = w * _PACK_BATCH  # digits spanned by every piece but the top one
+    while len(pieces) > 1:  # an odd top piece waits for the next round
+        pieces = [
+            _EXACT.add(lo, _EXACT.scaleb(hi, width)) for lo, hi in zip(pieces[::2], pieces[1::2])
+        ] + pieces[len(pieces) & ~1 :]
+        width *= 2
+    packed = pieces.pop() if pieces else Decimal(0)  # the empty polynomial is 0
     if borrow:
         packed = _EXACT.subtract(packed, _EXACT.scaleb(1, w * slots))
-    square = _EXACT.multiply(packed, packed)  # non-negative by construction
-    del packed
-    digits = str(square)
-    del square
+    return packed, w
 
-    # Only the low (max_exp + 1) slots are read; pad short products with zeros.
-    span = (max_exp + 1) * w
-    digits = digits.rjust(span, "0")
-    end = len(digits)
-    limbs = [int(digits[i - w : i]) for i in range(end, end - span, -w)]
-    del digits
 
+def _low_digits(x: Decimal, digits: int) -> Decimal:
+    """x mod 10^digits, for an integer Decimal x >= 0.
+
+    Context.shift by 0 cuts the coefficient on the left to the context's
+    precision: exact, linear in the length, no division and no flag.
+    """
+    return Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN).shift(x, 0)
+
+
+def _square_low(packed: Decimal, w: int, slots: int) -> list[tuple[Decimal, int]]:
+    """The low `slots` w-digit slots of packed^2, as a stack for _unpack.
+
+    libmpdec squares the operand exactly (a number-theoretic transform at
+    these sizes; _EXACT traps Inexact and Rounded, so a product that does
+    not fit raises instead of corrupting the coefficients).  The square is
+    cut to its low slots as soon as it exists, and dropped.
+    """
+    return [(_low_digits(_EXACT.multiply(packed, packed), slots * w), slots)]
+
+
+def _unpack(pending: list[tuple[Decimal, int]], w: int) -> list[int]:
+    """Signed coefficients from the w-digit slots of the pieces in `pending`.
+
+    `pending` is a stack of (piece, slot count), lowest piece on top, and
+    every piece is taken off it.  A piece of more than _PACK_BATCH slots is
+    split in two by shifts; only smaller pieces are formatted, so no digit
+    string of the whole product is built.  A balanced-digit borrow pass
+    then reads each slot as a signed coefficient.
+    """
+    limbs = []
+    while pending:
+        piece, slots = pending.pop()
+        while slots > _PACK_BATCH:
+            cut = slots // 2
+            pending.append((_EXACT.shift(piece, -cut * w), slots - cut))
+            piece, slots = _low_digits(piece, cut * w), cut
+        digits = str(piece).rjust(slots * w, "0")  # zero slots above a short piece
+        limbs.extend(int(digits[i - w : i]) for i in range(slots * w, 0, -w))
+
+    full = 10**w
     half = full // 2
     carry = 0
     for k, limb in enumerate(limbs):
@@ -196,9 +231,24 @@ def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
     return limbs
 
 
+def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
+    """Exact square of a signed integer polynomial, truncated to
+    exponents <= max_exp.
+
+    Kronecker substitution in base 10^w: _pack evaluates the polynomial at
+    10^w, _square_low squares that Decimal and keeps its low slots, and
+    _unpack reads them back.  The caller's list is left as it was.
+    """
+    packed, w = _pack(coeffs, max_exp)
+    return _unpack(_square_low(packed, w, max_exp + 1), w)
+
+
 def delta_coefficients(N: int, *, series_max: int = SERIES_MAX_DEFAULT) -> TauTable:
     """Exact tau(1..N): the pairwise square of the cube series, then two
     Kronecker squarings.
+
+    Each squaring drops the coefficient list once it is packed and the
+    operand once it is squared, so neither is alive next to the product.
 
     Raises ResourceLimitError when N exceeds series_max.
     """
@@ -208,8 +258,12 @@ def delta_coefficients(N: int, *, series_max: int = SERIES_MAX_DEFAULT) -> TauTa
         raise ResourceLimitError(f"series order {N} exceeds configured maximum {series_max}")
     top = N - 1  # exponent budget before the q-shift
     power = _cube_series_square(top)  # prod^6
-    power = _square_truncated(power, top)  # prod^12
-    power = _square_truncated(power, top)  # prod^24
+    for _ in range(2):  # prod^12, then prod^24
+        packed, w = _pack(power, top)
+        del power
+        pending = _square_low(packed, w, N)
+        del packed
+        power = _unpack(pending, w)
     return TauTable(N, tuple(power))
 
 

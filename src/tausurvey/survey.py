@@ -348,7 +348,11 @@ def reduction_report(X: int, table: TauTable, x_max: int, *, workers: int = 1) -
     """Observed S(X) side by side with the analytic terms and the windowed
     near-point tail counts of both curve families: the sub-unit counts of
     curves.exact_count over x <= x_max.  The unbounded-x tails they stand for
-    cannot be counted on a finite machine, so each is a lower bound."""
+    cannot be counted on a finite machine, so each is a lower bound.
+
+    A tail starts at its family's sub-unit cutoff, so e2_windowed (deg11,
+    x^11 > X^2) is 0 unless x_max > X^(2/11), and e4_windowed (deg22,
+    x^11 > X) is 0 unless x_max > X^(1/11)."""
     base = survey(X, table, workers=workers)
     e2 = curves.exact_count(curves.CurveKind.DEG11, X, x_max).subunit
     e4 = curves.exact_count(curves.CurveKind.DEG22, X, x_max).subunit

@@ -839,6 +839,22 @@ def test_pooled_self_test_prints_each_line_once():
     assert any("2-worker pool" in line for line in lines)
 
 
+
+def test_self_test_under_dash_m_imports_cli_once():
+    # `python -m tausurvey.cli` runs cli.py as __main__; the self-test uses that
+    # module instead of compiling cli.py again as tausurvey.cli.
+    result = _run_with_src(["-X", "importtime", "-m", "tausurvey.cli", "--self-test"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "self-test OK"
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "tausurvey.selftest" in imported
+    assert "tausurvey.cli" not in imported
+
+
 # ----------------------- emit against its own oracle -----------------------
 
 EMIT_FIELDS = ["a", "rad", "rad_complete", "quality", "abc_ok"]

@@ -2,7 +2,8 @@ import hashlib
 import math
 import pickle
 import random
-from decimal import Decimal, Inexact, Rounded
+import tracemalloc
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, Rounded
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from tausurvey.delta import (
     _EXACT,
+    _PACK_BATCH,
     TauTable,
     _cube_series_square,
+    _low_digits,
     _square_truncated,
     delta_coefficients,
     jacobi_series,
@@ -123,6 +126,67 @@ def test_square_truncated_matches_schoolbook_random():
         for max_exp in {len(coeffs) - 1, rng.randrange(len(coeffs))}:
             got = _square_truncated(coeffs, max_exp)
             assert got == schoolbook_square(coeffs, max_exp), (trial, max_exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**400), st.integers(0, 45), st.integers(-9, 9))
+def test_low_digits_matches_string_tail(root, words, offset):
+    # spans at, inside and past 19-digit word boundaries, and past the square
+    span = max(1, 19 * words + offset)
+    square = Decimal(root * root)
+    low = _low_digits(square, span)
+    assert low.as_tuple().exponent == 0
+    assert low == int(str(square)[-span:])
+    cut = Context(prec=span, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    cut.shift(square, 0)
+    assert not any(cut.flags.values())  # exact: no Rounded, no Inexact
+
+
+def kronecker_square(coeffs, max_exp):
+    """Independent oracle for _square_truncated: Kronecker substitution over
+    Python ints in base 2^b, balanced digits read back through byte strings."""
+    low = coeffs[: max_exp + 1]
+    peak = max(map(abs, low))
+    size = (2 * len(low) * peak * peak).bit_length() // 8 + 1  # bytes per slot
+    b = 8 * size  # every product coefficient is below 2^(b - 1) in size
+
+    def evaluate(cs):
+        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in cs), "little")
+
+    value = evaluate([max(c, 0) for c in low]) - evaluate([max(-c, 0) for c in low])
+    slots = max_exp + 1
+    bias = evaluate([1 << (b - 1)] * slots)
+    raw = ((value * value + bias) & ((1 << (b * slots)) - 1)).to_bytes(size * slots, "little")
+    return [
+        int.from_bytes(raw[i : i + size], "little") - (1 << (b - 1))
+        for i in range(0, size * slots, size)
+    ]
+
+
+@pytest.mark.parametrize("length", [_PACK_BATCH - 1, _PACK_BATCH, _PACK_BATCH + 1,
+                                    2 * _PACK_BATCH + 1, 3 * _PACK_BATCH + 7])
+def test_square_truncated_across_batches(length):
+    # Several pack batches joined, and an unpack that splits the low half.
+    rng = random.Random(length)
+    coeffs = [rng.randint(-(10**12), 10**12) for _ in range(length)]
+    coeffs[length // 3 : length // 3 + 50] = [0] * 50
+    coeffs[-1] = -abs(coeffs[-1]) - 1  # a negative top slot leaves a borrow
+    before = list(coeffs)
+    for max_exp in (length - 1, length // 2, length + 2):
+        assert _square_truncated(coeffs, max_exp) == kronecker_square(coeffs, max_exp), max_exp
+    assert coeffs == before
+
+
+def test_build_peak_memory_within_three_tables():
+    # The build's transient peak, next to the table it leaves behind.
+    tracemalloc.start()
+    try:
+        table = delta_coefficients(20_000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.N == 20_000
+    assert peak <= 3 * kept, (peak, kept)
 
 
 NAIVE_TOP = 2000

@@ -150,6 +150,20 @@ def test_reduction_report(table10k):
     assert set(rep.survey.terms) == {"x_9_10_log_x", "x_13_22", "x_6_11"}
 
 
+
+@pytest.mark.parametrize("X, e2", [(420, 2), (421, 0)])
+def test_reduction_report_tails_start_at_the_cutoffs(X, e2):
+    # deg11 points are sub-unit once x^11 > X^2, deg22 points once x^11 > X.
+    # With x <= 3: 3^11 = 177147 > 420^2 = 176400, but not > 421^2 = 177241,
+    # and the deg11 points at x = 3 are y = +-421 (421^2 - 177147 = 94), so
+    # e2 is 2 at X = 420 and 0 at X = 421.  The deg22 tail covers x = 2 and 3
+    # (2^11 = 2048 > X), but 5 * 2^22 = 20971520 and 5 * 3^22 = 156905298045
+    # have no square within 4X <= 1684 (the nearest are 4279 and 210724
+    # away), so e4 is 0 on both sides.
+    rep = reduction_report(X, delta_coefficients(300), 3)
+    assert (rep.e2_windowed, rep.e4_windowed) == (e2, 0)
+
+
 def test_layer_cap_at_powers_of_3_to_the_11():
     # layer_cap(X) is the smallest m with 3^(11m) > X
     assert layer_cap(3) == 1
