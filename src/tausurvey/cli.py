@@ -316,6 +316,8 @@ def _cmd_tau(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     if args.max is not None:
         if args.square:
             raise ValueError("--square applies to --n only")
+        if args.N is not None:  # the flag alone: env and config N stay ignored
+            raise ValueError("--N applies to --n only")
         if args.max < 1:
             raise ValueError("--max must be >= 1")
         table = delta_coefficients(args.max, series_max=cfg.series_max)
@@ -460,8 +462,7 @@ def _cmd_sato_tate(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> in
     if args.u_layer is not None and cfg.format == "csv":
         raise ValueError("--u-layer/--u-threshold have no CSV column; use --format json")
     table = _build_table(cfg)
-    p_max = args.p_max if args.p_max is not None else table.N
-    samples = satotate.angles_from_table(table, p_min=args.p_min, p_max=p_max)
+    samples = satotate.angles_from_table(table, p_min=args.p_min, p_max=args.p_max)
     hist = satotate.st_histogram(samples, cfg.bins)
     edges = [_f(e) for e in hist.edges]
     rows = [
@@ -512,18 +513,20 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
             n for n, t in table.iter_records() if (t % 2 == 1) != tau_parity(n)
         ],
     }
-    reduction = survey_mod.reduction_report(cfg.X, table, cfg.x_max, workers=cfg.workers)
-    head = {"X": str(cfg.X), "N": table.N, "x_max": cfg.x_max, "count": reduction.survey.count}
-    terms = {k: _f(v) for k, v in reduction.survey.terms.items()}
-    terms["e2_windowed"] = reduction.e2_windowed
-    terms["e4_windowed"] = reduction.e4_windowed
+    rep = survey_mod.survey(cfg.X, table, workers=cfg.workers)
+    head = {"X": str(cfg.X), "N": table.N, "x_max": cfg.x_max, "count": rep.count}
+    terms = {k: _f(v) for k, v in rep.terms.items()}
+    # Windowed tails (lower bounds): the sub-unit near-points with x <= x_max,
+    # past x^11 > X^2 for deg11 and past x^11 > X for deg22.
+    terms["e2_windowed"] = curves.exact_count(curves.CurveKind.DEG11, cfg.X, cfg.x_max).subunit
+    terms["e4_windowed"] = curves.exact_count(curves.CurveKind.DEG22, cfg.X, cfg.x_max).subunit
     document = {
         **head,
-        "primes": [str(ell) for ell in reduction.survey.primes],
+        "primes": [str(ell) for ell in rep.primes],
         "terms": terms,
         "windowed": True,
-        "truncated": reduction.survey.truncated,
-        "caveat": reduction.survey.caveat,
+        "truncated": rep.truncated,
+        "caveat": rep.caveat,
         **violations,
     }
     row = {**head, **terms, **{name: len(found) for name, found in violations.items()}}
@@ -573,6 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name: str, description: str) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=description)
         _add_knobs(sub, name)
+        sub.set_defaults(usage=sub.format_usage)  # for the usage errors dispatch prints
         return sub
 
     sub = command("tau", "tau(n) or a table export")
@@ -642,7 +646,7 @@ def dispatch(argv: list[str], stdout: IO[str] | None = None, stderr: IO[str] | N
         return 1
     except (ValueError, OSError) as exc:
         err.write(f"usage error: {exc}\n")
-        err.write(parser.format_usage())
+        err.write(args.usage())
         return 2
 
 

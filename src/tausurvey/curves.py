@@ -144,6 +144,9 @@ def exact_count(kind: CurveKind, X: int, x_max: int) -> RegimeReport:
     equals len(near_points(kind, X, 1, x_max)) wherever that enumeration fits
     under the scan ceiling; the count builds no point, so no ceiling applies
     to it.  The dissection is bookkeeping only.
+
+    Every x in 1..x_max is visited, at about 5 microseconds each, and no
+    guard bounds x_max.
     """
     if X < 1:
         raise ValueError("X must be >= 1")

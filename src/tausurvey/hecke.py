@@ -18,7 +18,8 @@ def lucas_u(P: int, Q: int, n: int) -> int:
     """U_n(P, Q) of the Lucas sequence U_0 = 0, U_1 = 1, U_(k+1) = P U_k - Q U_(k-1).
 
     tau(p^(n-1)) = U_n(tau(p), p^11), so U_e divides tau(p^(d-1)) whenever
-    e divides d.  n = 0 gives 0.
+    e divides d.  n = 0 gives 0.  P may be a float: lucas_u(2x, 1, r + 1) is
+    the Chebyshev polynomial U_r(x) of the second kind.
     """
     if n < 0:
         raise ValueError("index must be >= 0")

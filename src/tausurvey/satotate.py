@@ -3,11 +3,11 @@
 Writing tau(p) = 2 p^(11/2) cos(theta_p) (legal by the Deligne bound), the
 angles equidistribute with density (2/pi) sin^2(theta) on [0, pi], and
 tau(p^r) = p^(11r/2) U_r(cos theta_p) with U_r the Chebyshev polynomial of
-the second kind.  This module produces the angle samples, bins angles
-against the sin^2 measure, and evaluates the layered predictor
-C X^(1/(11m)) / (ln X)^2.  Its records (AngleSample, Histogram,
-HeuristicPrediction) are immutable NamedTuples: tuples that compare by
-value, updated with _replace.
+the second kind, U_r(x) = hecke.lucas_u(2x, 1, r + 1).  This module
+produces the angle samples, bins angles against the sin^2 measure, and
+evaluates the layered predictor C X^(1/(11m)) / (ln X)^2.  Its records
+(AngleSample, Histogram, HeuristicPrediction) are immutable NamedTuples:
+tuples that compare by value, updated with _replace.
 
 Floats are fine for statistics; the only correctness gate (the Deligne
 inequality itself) is checked in exact integer arithmetic first.
@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .delta import TauTable
 from .errors import DeligneViolationError, ResourceLimitError
+from .hecke import lucas_u
 from .primes import cached_primes
 
 # X^(1/(11m)) >= 2 needs m <= log2(X)/11, which is below 94 for every finite
@@ -65,18 +66,6 @@ def angles_from_table(table: TauTable, p_min: int = 2, p_max: int | None = None)
     """Angle samples for all primes in [p_min, min(p_max, N)]."""
     top = table.N if p_max is None else min(p_max, table.N)
     return [angle(p, table.tau(p)) for p in cached_primes(top) if p >= p_min]
-
-
-def chebyshev_u(r: int, x: float) -> float:
-    """U_r(x) by the three-term recurrence."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    prev, cur = 1.0, 2.0 * x
-    if r == 0:
-        return prev
-    for _ in range(r - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
 
 
 def angle_cdf(theta: float) -> float:
@@ -157,7 +146,7 @@ def chebyshev_magnitude_proportion(samples: list[AngleSample], m: int, threshold
         raise ValueError("m must be >= 1")
     if not samples:
         raise ValueError("samples must be nonempty")
-    hits = sum(1 for s in samples if abs(chebyshev_u(2 * m, s.cos_theta)) >= threshold)
+    hits = sum(1 for s in samples if abs(lucas_u(2.0 * s.cos_theta, 1, 2 * m + 1)) >= threshold)
     return hits / len(samples)
 
 

@@ -39,7 +39,6 @@ import os
 from itertools import islice
 from typing import Iterable, NamedTuple
 
-from . import curves
 from .delta import TauTable
 from .errors import ResourceLimitError
 from .hecke import is_ordinary, lucas_u
@@ -105,15 +104,6 @@ class SurveyReport(NamedTuple):
     @property
     def count(self) -> int:
         return len(self.primes)
-
-
-class ReductionReport(NamedTuple):
-    """Survey plus the windowed near-point tail counts, for tabulation."""
-
-    survey: SurveyReport
-    x_max: int
-    e2_windowed: int
-    e4_windowed: int
 
 
 def layer_window(m: int, X: int) -> int:
@@ -343,17 +333,3 @@ def omitted_values_check(table: TauTable) -> list[tuple[int, int]]:
         (n, t) for n, t in table.iter_records() if n >= 2 and t in OMITTED_VALUES
     ]
 
-
-def reduction_report(X: int, table: TauTable, x_max: int, *, workers: int = 1) -> ReductionReport:
-    """Observed S(X) side by side with the analytic terms and the windowed
-    near-point tail counts of both curve families: the sub-unit counts of
-    curves.exact_count over x <= x_max.  The unbounded-x tails they stand for
-    cannot be counted on a finite machine, so each is a lower bound.
-
-    A tail starts at its family's sub-unit cutoff, so e2_windowed (deg11,
-    x^11 > X^2) is 0 unless x_max > X^(2/11), and e4_windowed (deg22,
-    x^11 > X) is 0 unless x_max > X^(1/11)."""
-    base = survey(X, table, workers=workers)
-    e2 = curves.exact_count(curves.CurveKind.DEG11, X, x_max).subunit
-    e4 = curves.exact_count(curves.CurveKind.DEG22, X, x_max).subunit
-    return ReductionReport(base, x_max, e2, e4)

@@ -4,15 +4,16 @@ powers, held against the package's exact recurrence."""
 import math
 from fractions import Fraction
 
-from tausurvey.hecke import tau_prime_power
+from tausurvey.hecke import lucas_u, tau_prime_power
 from tausurvey.primes import factor_trial, is_prime
-from tausurvey.satotate import angle, chebyshev_u
+from tausurvey.satotate import angle
 
 CHEBYSHEV_MAX_ORDER = 20  # float-range guard for the identity check
 
 
 def chebyshev_check(p: int, tau_p: int, r: int, tol: float) -> bool:
-    """Exact tau(p^r) versus p^(11r/2) U_r(cos theta_p), within tol*(r+1).
+    """Exact tau(p^r) versus p^(11r/2) U_r(cos theta_p), within tol*(r+1),
+    with the Chebyshev U_r(x) evaluated as the Lucas value U_(r+1)(2x, 1).
 
     Both sides are compared after dividing by p^(11r/2); the exact side is
     scaled with Fraction so the quotient is correctly rounded even when the
@@ -27,7 +28,7 @@ def chebyshev_check(p: int, tau_p: int, r: int, tol: float) -> bool:
     else:
         magnitude = math.sqrt(float(Fraction(exact * exact, p ** (11 * r))))
         scaled = math.copysign(magnitude, exact)
-    return abs(scaled - chebyshev_u(r, sample.cos_theta)) <= tol * (r + 1)
+    return abs(scaled - lucas_u(2.0 * sample.cos_theta, 1, r + 1)) <= tol * (r + 1)
 
 
 def quartic_identity_check(p: int, tau_p: int) -> bool:

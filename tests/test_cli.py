@@ -274,8 +274,9 @@ def test_usage_errors():
     [(["tau", "--n", "-5", "--square"], "n must be >= 1"),
      (["tau", "--max", "3", "--square"], "--square applies to --n only"),
      (["tau", "--max", "-3"], "--max must be >= 1"),
-     (["tau", "--max", "0"], "--max must be >= 1")],
-    ids=["negative-n-squared", "max-squared", "negative-max", "zero-max"],
+     (["tau", "--max", "0"], "--max must be >= 1"),
+     (["tau", "--max", "3", "--N", "5"], "--N applies to --n only")],
+    ids=["negative-n-squared", "max-squared", "negative-max", "zero-max", "max-with-N"],
 )
 def test_tau_flag_misuse_is_usage_error_before_the_table(argv, message, monkeypatch):
     def no_table(*args, **kwargs):
@@ -286,6 +287,35 @@ def test_tau_flag_misuse_is_usage_error_before_the_table(argv, message, monkeypa
     assert (code, out) == (2, "")
     assert err.startswith(f"usage error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+def test_tau_max_ignores_n_from_env_and_config(source, tmp_path, monkeypatch):
+    argv = ["tau", "--max", "3"]
+    if source == "env":
+        monkeypatch.setenv("TAUSURVEY_N", "5")
+    else:
+        cfg = tmp_path / "tau.cfg"
+        cfg.write_text("N=5\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parity", "--n", "0"],
+     ["sato-tate", "--N", "100", "--u-layer", "0", "--u-threshold", "0.5"]],
+    ids=lambda a: a[0],
+)
+def test_handler_usage_error_prints_the_subcommand_usage(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith("usage error: ")
+    assert lines[1].startswith(f"usage: tausurvey {argv[0]} ")
+    assert "{tau,parity" not in err  # not the root synopsis of every subcommand
 
 
 def test_sato_tate_u_pair_refused_in_csv():

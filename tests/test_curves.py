@@ -1,10 +1,12 @@
+import io
+import json
+
 import pytest
 
+from tausurvey.cli import dispatch
 from tausurvey.curves import CurveKind, NearPoint, exact_count, near_points
-from tausurvey.delta import delta_coefficients
 from tausurvey.errors import ResourceLimitError
 from tausurvey.selftest import naive_near_points, naive_regime_counts
-from tausurvey.survey import reduction_report
 
 
 def as_tuples(points):
@@ -85,9 +87,25 @@ def test_window_counts():
 
 
 def test_window_is_subunit_count():
-    rep = reduction_report(500, delta_coefficients(100), 20, workers=1)
-    assert rep.e2_windowed == exact_count(CurveKind.DEG11, 500, 20).subunit
-    assert rep.e4_windowed == exact_count(CurveKind.DEG22, 500, 20).subunit
+    out = io.StringIO()
+    argv = ["report", "--X", "1e10", "--N", "100", "--x-max", "100", "--format", "json"]
+    assert dispatch(argv, out, io.StringIO()) == 0
+    terms = json.loads(out.getvalue())["terms"]
+    assert terms["e2_windowed"] == exact_count(CurveKind.DEG11, 10**10, 100).subunit == 20
+    assert terms["e4_windowed"] == exact_count(CurveKind.DEG22, 10**10, 100).subunit == 2
+
+
+@pytest.mark.parametrize("X, e2", [(420, 2), (421, 0)])
+def test_subunit_tails_start_at_the_cutoffs(X, e2):
+    # deg11 points are sub-unit once x^11 > X^2, deg22 points once x^11 > X.
+    # With x <= 3: 3^11 = 177147 > 420^2 = 176400, but not > 421^2 = 177241,
+    # and the deg11 points at x = 3 are y = +-421 (421^2 - 177147 = 94), so
+    # the deg11 tail is 2 at X = 420 and 0 at X = 421.  The deg22 tail covers
+    # x = 2 and 3 (2^11 = 2048 > X), but 5 * 2^22 = 20971520 and
+    # 5 * 3^22 = 156905298045 have no square within 4X <= 1684 (the nearest
+    # are 4279 and 210724 away), so it is 0 on both sides.
+    e4 = exact_count(CurveKind.DEG22, X, 3).subunit
+    assert (exact_count(CurveKind.DEG11, X, 3).subunit, e4) == (e2, 0)
 
 
 def test_scan_ceiling_error():

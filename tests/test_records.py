@@ -7,7 +7,7 @@ from tausurvey.abctriples import make_triple
 from tausurvey.curves import CurveKind, exact_count, near_points
 from tausurvey.delta import delta_coefficients
 from tausurvey.satotate import angle, angles_from_table, heuristic_prediction, st_histogram
-from tausurvey.survey import reduction_report, survey
+from tausurvey.survey import survey
 
 LEHMER_X = 10**26  # layer 1 holds |tau(251^2)|, so it has a record
 
@@ -26,7 +26,6 @@ BUILDERS = {
     "SurveyRecord": (lambda: _survey().layers[0].records[0], True),
     "SurveyLayer": (lambda: _survey().layers[0], True),
     "SurveyReport": (_survey, False),
-    "ReductionReport": (lambda: reduction_report(10**6, delta_coefficients(300), 3), False),
     "AngleSample": (lambda: angle(3, 252), True),
     "Histogram": (lambda: st_histogram(angles_from_table(delta_coefficients(300)), 4), True),
     "HeuristicPrediction": (lambda: heuristic_prediction(1e22, 3), True),

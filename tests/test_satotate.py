@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from tausurvey.errors import DeligneViolationError, ResourceLimitError
+from tausurvey.hecke import lucas_u
 from tausurvey.primes import cached_primes
 from tausurvey.satotate import (
     PREDICT_LAYER_MAX,
@@ -14,7 +15,6 @@ from tausurvey.satotate import (
     angle_cdf,
     angles_from_table,
     chebyshev_magnitude_proportion,
-    chebyshev_u,
     heuristic_prediction,
     st_histogram,
 )
@@ -55,11 +55,20 @@ def test_angles_in_range(table10k):
         assert 0.0 <= s.theta <= math.pi
 
 
-def test_chebyshev_u_values():
-    assert chebyshev_u(0, 0.3) == 1.0
-    assert chebyshev_u(1, 0.3) == pytest.approx(0.6)
-    x = 0.3
-    assert chebyshev_u(2, x) == pytest.approx(4 * x * x - 1)
+def test_float_lucas_u_matches_the_chebyshev_closed_form():
+    # U_r(cos t) = sin((r+1) t) / sin t, and U_r(+-1) = (+-1)^r (r+1) at the
+    # ends, where the quotient is 0/0.
+    rng = random.Random(11)
+    for _ in range(2000):
+        theta = rng.uniform(0.01, math.pi - 0.01)
+        r = rng.randrange(0, 40)
+        closed = math.sin((r + 1) * theta) / math.sin(theta)
+        assert lucas_u(2.0 * math.cos(theta), 1, r + 1) == pytest.approx(
+            closed, rel=1e-9, abs=1e-9 * (r + 1) / math.sin(theta)
+        ), (theta, r)
+    for r in range(40):
+        assert lucas_u(2.0, 1, r + 1) == r + 1
+        assert lucas_u(-2.0, 1, r + 1) == (-1) ** r * (r + 1)
 
 
 def test_chebyshev_check_trivial_orders(table10k):

@@ -21,7 +21,6 @@ from tausurvey.survey import (
     layer_cap,
     layer_window,
     omitted_values_check,
-    reduction_report,
     survey,
     survey_layer,
 )
@@ -142,26 +141,10 @@ def test_omitted_exempts_tau_of_one():
     assert omitted_values_check(tiny) == []
 
 
-def test_reduction_report(table10k):
-    rep = reduction_report(10 ** 6, table10k, 10)
-    assert rep.e2_windowed >= 0 and rep.e4_windowed >= 0
-    assert rep.x_max == 10
-    assert rep.survey.count == 0
-    assert set(rep.survey.terms) == {"x_9_10_log_x", "x_13_22", "x_6_11"}
-
-
-
-@pytest.mark.parametrize("X, e2", [(420, 2), (421, 0)])
-def test_reduction_report_tails_start_at_the_cutoffs(X, e2):
-    # deg11 points are sub-unit once x^11 > X^2, deg22 points once x^11 > X.
-    # With x <= 3: 3^11 = 177147 > 420^2 = 176400, but not > 421^2 = 177241,
-    # and the deg11 points at x = 3 are y = +-421 (421^2 - 177147 = 94), so
-    # e2 is 2 at X = 420 and 0 at X = 421.  The deg22 tail covers x = 2 and 3
-    # (2^11 = 2048 > X), but 5 * 2^22 = 20971520 and 5 * 3^22 = 156905298045
-    # have no square within 4X <= 1684 (the nearest are 4279 and 210724
-    # away), so e4 is 0 on both sides.
-    rep = reduction_report(X, delta_coefficients(300), 3)
-    assert (rep.e2_windowed, rep.e4_windowed) == (e2, 0)
+def test_survey_at_1e6_finds_no_prime_and_reports_every_term(table10k):
+    rep = survey(10 ** 6, table10k)
+    assert rep.count == 0
+    assert set(rep.terms) == {"x_9_10_log_x", "x_13_22", "x_6_11"}
 
 
 def test_layer_cap_at_powers_of_3_to_the_11():
@@ -266,11 +249,6 @@ def test_pooled_survey_matches_serial_and_oracle(pool_on, workers, k, N):
     assert multiprocessing.active_children() == []
     assert pooled == survey(X, table, workers=1)
     assert pooled.layers == _naive_layers(X, table)
-
-
-def test_reduction_report_passes_workers(pool_on, table500):
-    assert reduction_report(10**14, table500, 5, workers=2) == reduction_report(10**14, table500, 5)
-    assert pool_on == [2]
 
 
 def test_pool_size_capped_by_usable_cpus(monkeypatch, fake_pool, table500):
