@@ -110,18 +110,19 @@ _TABLE_COMMANDS = ("tau", "survey", "sato-tate", "report")
 
 # The one table of knobs.  Each is a --flag (dashes for underscores) on the
 # subcommands listed, and for those alone a TAUSURVEY_ environment variable
-# and a config-file key, all three read by the same parser.  predict parses X
-# as a real number.
+# and a config-file key, all three read by the same parser.  X and the
+# orders and bounds (N, x_min, x_max, series_max, scan_ceiling) are read by
+# _big_int, so 1e5 is the integer 100000; predict parses X as a real number.
 _KNOBS = {
-    "N": _Knob(int, 10_000, "positive", _positive, _TABLE_COMMANDS, "series truncation order"),
+    "N": _Knob(_big_int, 10_000, "positive", _positive, _TABLE_COMMANDS, "series truncation order"),
     "X": _Knob(
         _big_int, 1_000_000, "positive", _positive,
         ("survey", "near-points", "count", "abc", "report", "predict"),
         "the bound: an integer, or for predict a real number that must exceed e",
         {"predict": _finite_float},
     ),
-    "x_min": _Knob(int, 1, "positive", _positive, ("near-points", "abc")),
-    "x_max": _Knob(int, 10, "positive", _positive, ("near-points", "count", "abc", "report")),
+    "x_min": _Knob(_big_int, 1, "positive", _positive, ("near-points", "abc")),
+    "x_max": _Knob(_big_int, 10, "positive", _positive, ("near-points", "count", "abc", "report")),
     "m_max": _Knob(int, 3, "positive", _positive, ("predict",)),
     "bins": _Knob(int, 8, ">= 2", lambda v: v >= 2, ("sato-tate",)),
     "epsilon": _Knob(_finite_float, None, "positive", lambda v: v is None or v > 0, ("abc",)),
@@ -138,9 +139,9 @@ _KNOBS = {
         "for every value",
     ),
     "budget": _Knob(int, abctriples.DEFAULT_BUDGET, "non-negative", _non_negative, ("abc",)),
-    "series_max": _Knob(int, SERIES_MAX_DEFAULT, "positive", _positive, _TABLE_COMMANDS),
+    "series_max": _Knob(_big_int, SERIES_MAX_DEFAULT, "positive", _positive, _TABLE_COMMANDS),
     "scan_ceiling": _Knob(
-        int, curves.FULL_SCAN_CEILING, "positive", _positive, ("near-points", "abc")
+        _big_int, curves.FULL_SCAN_CEILING, "positive", _positive, ("near-points", "abc")
     ),
 }
 

@@ -11,14 +11,28 @@ only about sqrt(2N) terms, so its square (the 6th power) is summed pair by
 pair; the two dense squarings after it (6th -> 12th -> 24th power) use
 Kronecker substitution in base 10^w: coefficients are packed as fixed-width
 decimal slots into one Decimal, squared exactly by libmpdec (a
-number-theoretic transform at these sizes, so near-linear in N), cut to the
-low half that the truncated product needs, and unpacked with a
-balanced-digit borrow pass, so no Python-level O(N^2) loop is needed.
-Packing and unpacking go through Decimals of one batch of slots each (joined
-pairwise on the way in, split by shifts on the way out), so no digit string
-of a whole operand or product is built, and each squaring drops the
-coefficient list before it multiplies: the transform's own buffers set the
-build's peak memory.
+number-theoretic transform at these sizes, so near-linear in N), and cut to
+the low half that the truncated product needs, so no Python-level O(N^2)
+loop is needed.
+
+- Slot widths.  Only the low N slots of each square are read, and they
+  hold prod^12 and tau, whose sizes Deligne's bound limits; _proven_widths
+  states the proof.  At N = 100k the widths are 17 and 31 digits, where a
+  bound on every slot of the full square needs 19 and 33.
+- Offset slots.  A slot holds c + H, with H = 10^w / 2, so every slot is
+  w digits in [0, 10^w) whatever the sign of c.  Packing
+  subtracts sum_k H 10^(w k) once; after the square, adding it back and
+  cutting to the low slots leaves each slot reading c + H, with no carry
+  between slots.
+- Re-slot.  The first square's slots (prod^12 + H at width w1) are widened
+  to the second width w2 as digits and joined into the second operand, so
+  prod^12 never becomes a list of Python ints.
+
+Packing, re-slotting and unpacking go through one batch of slots at a time
+(joined pairwise on the way in, split by shifts on the way out), so no
+digit string of a whole operand or product is built, and each step drops
+what it no longer needs before the next multiply: the transform's own
+buffers set the build's peak memory.
 
 The table is a TauTable, an immutable NamedTuple (N, coeffs): a tuple that
 compares and hashes by value, updated only by _replace, which checks the
@@ -40,6 +54,7 @@ from decimal import (
     Rounded,
 )
 from itertools import islice
+from struct import unpack
 from typing import Iterator, NamedTuple
 
 from .errors import ResourceLimitError
@@ -48,10 +63,10 @@ from .primes import cached_primes, is_square
 # Series builds beyond this order are refused (memory/time guard, checked
 # before any allocation).  Measured build time / peak RSS of a whole process
 # that builds one table (Python 3.11.7, libmpdec 2.5.1, 2-core VM):
-# N = 200k 1.2 s / 39 MiB, 400k 2.5 s / 69 MiB, 1M 7.8-8.0 s / 192 MiB,
-# 1.5M 10.9-11.6 s / 320 MiB (247-335 MiB, depending on what the process
-# allocated before the build).  The default covers the m = 1 survey window
-# (3X)^(1/11) <= N up to X of about 2.9e67.
+# N = 200k 0.9-1.3 s / 40 MiB, 400k 1.9-2.3 s / 64-65 MiB, 1M 5.2-6.2 s /
+# 155-187 MiB (the peak depends on the heap's layout, through glibc's
+# dynamic mmap threshold), 1.5M 9.1-11.9 s / 226 MiB.  The default covers
+# the m = 1 survey window (3X)^(1/11) <= N up to X of about 2.9e67.
 SERIES_MAX_DEFAULT = 1_500_000
 
 # Exact integer arithmetic for the Kronecker squarings: unbounded precision,
@@ -135,51 +150,111 @@ def _cube_series_square(top: int) -> list[int]:
     return out
 
 
-# Slots folded and formatted per batch, so packing and unpacking hold one
+# Slots formatted or parsed per batch, so packing and unpacking hold one
 # Python object or string per slot only for a batch at a time, never for the
 # whole polynomial.
 _PACK_BATCH = 4096
 
 
-def _pack(coeffs: list[int], max_exp: int) -> tuple[Decimal, int]:
-    """Kronecker operand of coeffs[:max_exp + 1] and its slot width w.
+def _width(bound: int) -> int:
+    """The narrowest slot width w with 10^w > 2 * bound.
 
-    w is wide enough that every coefficient of the truncated square fits in
-    a signed slot.  A borrow pass, low slot first, folds the signs into
-    base-10^w digits in [0, 10^w); each batch of slots becomes one Decimal,
-    and neighbouring Decimals are joined pairwise, so no digit string of
-    the whole operand is built.  A borrow left over at the top stands for
-    -10^(w * slots), subtracted once.  The caller's list is only read.
+    A coefficient c with |c| <= bound is then below H = 10^w / 2 in size,
+    and its offset slot c + H lies in [0, 10^w).
     """
-    low = coeffs[: max_exp + 1]  # terms above max_exp cannot reach the result
-    peak = max(max(low, default=0), -min(low, default=0))
-    # |product coefficient| <= len * peak^2 < 10^w / 2
-    w = len(str(2 * len(low) * peak * peak))
+    return len(str(2 * bound))
 
-    slots = len(low)
-    full = 10**w
-    slot = f"%0{w}d"
-    borrow = False
-    pieces = []  # one Decimal per batch, low batch first
-    for start in range(0, slots, _PACK_BATCH):
-        digits = low[start : start + _PACK_BATCH]
-        for k, c in enumerate(digits):
-            c -= borrow
-            borrow = c < 0
-            digits[k] = c + full if borrow else c
-        digits.reverse()
-        pieces.append(Decimal(slot * len(digits) % tuple(digits)))
-    del low
-    width = w * _PACK_BATCH  # digits spanned by every piece but the top one
+
+def _proven_widths(N: int, peak: int) -> tuple[int, int]:
+    """Slot widths (w1, w2) of the two squarings of delta_coefficients(N).
+
+    Only the low N slots of each square are read, and those hold known
+    coefficients with proven bounds:
+    - squaring 1 gives prod^12 = sum b_k q^k, and eta(2z)^12 =
+      sum b_k q^(2k+1) spans S_6(Gamma0(4)), which has dimension 1 (there
+      are no weight-6 cusp forms of level 1 or 2), so it is a newform and
+      Deligne gives |b_k| <= d(2k+1) (2k+1)^(5/2);
+    - squaring 2 gives prod^24, whose q^k coefficient is tau(k+1), with
+      |tau(n)| <= d(n) n^(11/2);
+    - d(n) <= 2 sqrt(n), because the divisors of n pair off around sqrt(n).
+    With k <= N - 1 the low slots are bounded by B1 = 2 (2N-1)^3 and
+    B2 = 2 N^6.  The slots at N and above hold other values, but they add a
+    multiple of 10^(N w) to the square, so they cannot reach the low N
+    slots.  B2 >= B1, since N^2 >= 2N - 1, so w2 >= w1.
+
+    The general width bounds every slot of the full square by N * peak^2,
+    where peak is the largest |coefficient| of the operand: of prod^6 (passed
+    in) for squaring 1, and B1 for squaring 2.  It is never the narrower one
+    for squaring 2.  For squaring 1 it is only at N = 4 (3 digits against 4),
+    so w1 is the narrower of the two.
+    """
+    b1 = 2 * (2 * N - 1) ** 3
+    w1 = min(_width(b1), _width(N * peak * peak))
+    w2 = _width(2 * N**6)
+    assert w2 <= _width(N * b1 * b1), (N, w2)
+    return w1, w2
+
+
+def _offset_digits(w: int) -> str:
+    """H = 10^w / 2 as w digits: the offset that makes every slot non-negative."""
+    return "5".ljust(w, "0")
+
+
+def _repeat(slot: str, count: int) -> Decimal:
+    """The integer whose digits are `slot` written `count` times, which is
+    sum_k v 10^(w k) over k < count for the w-digit slot v.
+
+    Built by doubling one slot, so no digit string of it is formatted.
+    """
+    w = len(slot)
+    total, filled = Decimal(0), 0
+    unit, span = Decimal(slot), 1  # `span` slots of v
+    while count:
+        if count & 1:
+            total = _EXACT.add(total, _EXACT.scaleb(unit, w * filled))
+            filled += span
+        count >>= 1
+        if count:
+            unit = _EXACT.add(unit, _EXACT.scaleb(unit, w * span))
+            span *= 2
+    return total
+
+
+def _join(pieces: list[tuple[Decimal, int]], w: int) -> Decimal:
+    """sum of piece_i 10^(w * slots below piece i), for (piece, slot count)
+    pairs lowest first.
+
+    Neighbours are joined pairwise, each by its own slot count, so no digit
+    string of the whole operand is built.  No pieces make 0.
+    """
     while len(pieces) > 1:  # an odd top piece waits for the next round
         pieces = [
-            _EXACT.add(lo, _EXACT.scaleb(hi, width)) for lo, hi in zip(pieces[::2], pieces[1::2])
+            (_EXACT.add(lo, _EXACT.scaleb(hi, w * n)), n + m)
+            for (lo, n), (hi, m) in zip(pieces[::2], pieces[1::2])
         ] + pieces[len(pieces) & ~1 :]
-        width *= 2
-    packed = pieces.pop() if pieces else Decimal(0)  # the empty polynomial is 0
-    if borrow:
-        packed = _EXACT.subtract(packed, _EXACT.scaleb(1, w * slots))
-    return packed, w
+    return pieces[0][0] if pieces else Decimal(0)
+
+
+def _pack(coeffs: list[int], w: int) -> Decimal:
+    """Kronecker operand sum_k c_k 10^(w k) of coeffs, in offset slots.
+
+    Each batch is written as one string of slots c + H (H = 10^w / 2),
+    which is one Decimal; the batches are joined, and sum_k H 10^(w k) is
+    subtracted once.  A coefficient outside [-H, H) raises OverflowError:
+    its slot would be longer than w digits or negative.  The caller's list
+    is only read.
+    """
+    half = 10**w // 2
+    slot = f"%0{w}d"
+    pieces = []
+    for start in range(0, len(coeffs), _PACK_BATCH):
+        batch = coeffs[start : start + _PACK_BATCH]
+        batch.reverse()  # the top slot is written first
+        digits = slot * len(batch) % tuple(map(half.__add__, batch))
+        if len(digits) != w * len(batch) or "-" in digits:
+            raise OverflowError(f"a coefficient does not fit a {w}-digit slot")
+        pieces.append((Decimal(digits), len(batch)))
+    return _EXACT.subtract(_join(pieces, w), _repeat(_offset_digits(w), len(coeffs)))
 
 
 def _low_digits(x: Decimal, digits: int) -> Decimal:
@@ -192,63 +267,95 @@ def _low_digits(x: Decimal, digits: int) -> Decimal:
 
 
 def _square_low(packed: Decimal, w: int, slots: int) -> list[tuple[Decimal, int]]:
-    """The low `slots` w-digit slots of packed^2, as a stack for _unpack.
+    """The low `slots` slots of packed^2 in offset form, as a stack for
+    _batches: each w-digit slot reads c + H for the square's coefficient c.
 
     libmpdec squares the operand exactly (a number-theoretic transform at
     these sizes; _EXACT traps Inexact and Rounded, so a product that does
-    not fit raises instead of corrupting the coefficients).  The square is
-    cut to its low slots as soon as it exists, and dropped.
+    not fit raises instead of corrupting the coefficients).  Adding
+    sum_k H 10^(w k) and cutting to the low slots * w digits leaves
+    sum_k (c_k + H) 10^(w k) with no carry between slots, as long as every
+    |c_k| < H.  The square is cut before the offsets are added, so it is
+    dropped before they exist.
     """
-    return [(_low_digits(_EXACT.multiply(packed, packed), slots * w), slots)]
+    span = slots * w
+    low = _low_digits(_EXACT.multiply(packed, packed), span)
+    return [(_low_digits(_EXACT.add(low, _repeat(_offset_digits(w), slots)), span), slots)]
 
 
-def _unpack(pending: list[tuple[Decimal, int]], w: int) -> list[int]:
-    """Signed coefficients from the w-digit slots of the pieces in `pending`.
+def _batches(pending: list[tuple[Decimal, int]], w: int) -> Iterator[tuple[str, int]]:
+    """(digit string, slot count) of every batch of the pieces in `pending`,
+    lowest first; each string is slots * w digits, its top slot first.
 
     `pending` is a stack of (piece, slot count), lowest piece on top, and
     every piece is taken off it.  A piece of more than _PACK_BATCH slots is
-    split in two by shifts; only smaller pieces are formatted, so no digit
-    string of the whole product is built.  A balanced-digit borrow pass
-    then reads each slot as a signed coefficient.
+    split in two by shifts, so the halves can differ in size by one slot;
+    only smaller pieces are formatted, so no digit string of the whole
+    product is built.
     """
-    limbs = []
     while pending:
         piece, slots = pending.pop()
         while slots > _PACK_BATCH:
             cut = slots // 2
             pending.append((_EXACT.shift(piece, -cut * w), slots - cut))
             piece, slots = _low_digits(piece, cut * w), cut
-        digits = str(piece).rjust(slots * w, "0")  # zero slots above a short piece
-        limbs.extend(int(digits[i - w : i]) for i in range(slots * w, 0, -w))
+        yield str(piece).rjust(slots * w, "0"), slots  # zero slots above a short piece
 
-    full = 10**w
-    half = full // 2
-    carry = 0
-    for k, limb in enumerate(limbs):
-        limb += carry
-        carry = limb >= half
-        limbs[k] = limb - full if carry else limb
-    return limbs
+
+def _unpack(pending: list[tuple[Decimal, int]], w: int) -> list[int]:
+    """Signed coefficients c from the offset slots c + H of `pending`."""
+    half = 10**w // 2
+    coeffs = []
+    for digits, slots in _batches(pending, w):
+        batch = list(map(half.__rsub__, map(int, unpack(f"{w}s" * slots, digits.encode()))))
+        batch.reverse()
+        coeffs += batch
+    return coeffs
+
+
+def _reslot(pending: list[tuple[Decimal, int]], w1: int, w2: int) -> Decimal:
+    """The Kronecker operand sum_k c_k 10^(w2 k) of the coefficients in the
+    w1-digit offset slots c + H1 of `pending`, without making them ints.
+
+    Each batch's slots are widened to w2 digits by w1 strided copies into a
+    zero-filled buffer, which becomes one Decimal; the batches are joined by
+    their slot counts, and sum_k H1 10^(w2 k) is subtracted once.
+    """
+    pad = w2 - w1
+    pieces = []
+    for digits, slots in _batches(pending, w1):
+        src = digits.encode()
+        wide = bytearray(b"0" * (slots * w2))
+        for j in range(w1):
+            wide[pad + j :: w2] = src[j::w1]
+        pieces.append((Decimal(wide.decode()), slots))
+    slots = sum(n for _, n in pieces)
+    return _EXACT.subtract(_join(pieces, w2), _repeat(_offset_digits(w1).rjust(w2, "0"), slots))
 
 
 def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
     """Exact square of a signed integer polynomial, truncated to
     exponents <= max_exp.
 
-    Kronecker substitution in base 10^w: _pack evaluates the polynomial at
-    10^w, _square_low squares that Decimal and keeps its low slots, and
-    _unpack reads them back.  The caller's list is left as it was.
+    Kronecker substitution in base 10^w, with w wide enough for every slot
+    of the full square: _pack evaluates the polynomial at 10^w, _square_low
+    squares that Decimal and keeps its low slots, and _unpack reads them
+    back.  The caller's list is left as it was.
     """
-    packed, w = _pack(coeffs, max_exp)
-    return _unpack(_square_low(packed, w, max_exp + 1), w)
+    low = coeffs[: max_exp + 1]  # terms above max_exp cannot reach the result
+    peak = max(map(abs, low), default=0)
+    w = _width(len(low) * peak * peak)
+    return _unpack(_square_low(_pack(low, w), w, max_exp + 1), w)
 
 
 def delta_coefficients(N: int, *, series_max: int = SERIES_MAX_DEFAULT) -> TauTable:
     """Exact tau(1..N): the pairwise square of the cube series, then two
-    Kronecker squarings.
+    Kronecker squarings at the widths _proven_widths gives.
 
-    Each squaring drops the coefficient list once it is packed and the
-    operand once it is squared, so neither is alive next to the product.
+    The first square's low slots are re-slotted into the second operand as
+    digits, so prod^12 is never a list of ints.  Each coefficient list,
+    operand and cut square is dropped once the next step holds what it
+    needs, so none is alive next to the product.
 
     Raises ResourceLimitError when N exceeds series_max.
     """
@@ -256,15 +363,16 @@ def delta_coefficients(N: int, *, series_max: int = SERIES_MAX_DEFAULT) -> TauTa
         raise ValueError("N must be >= 1")
     if N > series_max:
         raise ResourceLimitError(f"series order {N} exceeds configured maximum {series_max}")
-    top = N - 1  # exponent budget before the q-shift
-    power = _cube_series_square(top)  # prod^6
-    for _ in range(2):  # prod^12, then prod^24
-        packed, w = _pack(power, top)
-        del power
-        pending = _square_low(packed, w, N)
-        del packed
-        power = _unpack(pending, w)
-    return TauTable(N, tuple(power))
+    power = _cube_series_square(N - 1)  # prod^6, exponents below N
+    w1, w2 = _proven_widths(N, max(map(abs, power)))
+    packed = _pack(power, w1)
+    del power
+    pending = _square_low(packed, w1, N)  # prod^12
+    del packed
+    packed = _reslot(pending, w1, w2)
+    pending = _square_low(packed, w2, N)  # prod^24
+    del packed
+    return TauTable(N, tuple(_unpack(pending, w2)))
 
 
 def tau_parity(n: int) -> bool:

@@ -10,6 +10,7 @@ They double as the independent reference implementations for the test suite.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 from typing import IO
@@ -196,6 +197,11 @@ def run_self_test(stream: IO[str]) -> bool:
     )
     table = delta_coefficients(500)
     check(list(table.coeffs) == naive_delta_coefficients(500), "series vs naive 24th-power product, N=500")
+    digest = hashlib.sha256("\n".join(map(str, delta_coefficients(10_000).coeffs)).encode()).hexdigest()
+    check(
+        digest == "d6180a22882a91fa71063c31d15d30e38617cdef173ec7c1e77a1b96be8dc032",
+        "series at N=10^4 (three pack batches, joined again after the re-slot) vs frozen checksum",
+    )
     sixth = naive_eta_power(6, 600)
     triangular = [k * (k + 1) // 2 for k in range(35)]
     orders = {n for t in triangular for n in (t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1) if 1 <= n <= 601}

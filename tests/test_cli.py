@@ -601,6 +601,39 @@ def test_scientific_notation_x():
     assert json.loads(out)["X"] == "100"
 
 
+# Each integer knob of an order or bound, written out and in scientific notation.
+SCIENTIFIC_KNOBS = [
+    (["count", "--kind", "deg11", "--X", "1e3"], "x_max", "100", "1e2"),
+    (["near-points", "--kind", "deg11", "--X", "100", "--x-max", "10"], "x_min", "3", "3e0"),
+    (["near-points", "--kind", "deg11", "--X", "100", "--x-max", "10"], "scan_ceiling",
+     "100000000", "1e8"),
+    (["tau", "--n", "251", "--square"], "N", "300", "3e2"),
+    (["tau", "--max", "5"], "series_max", "1000", "1E3"),
+]
+
+
+@pytest.mark.parametrize("argv, knob, plain, scientific", SCIENTIFIC_KNOBS,
+                         ids=[k for _, k, _, _ in SCIENTIFIC_KNOBS])
+def test_integer_knobs_read_scientific_notation(argv, knob, plain, scientific, tmp_path,
+                                                monkeypatch):
+    flag = "--" + knob.replace("_", "-")
+    code, want, err = run(argv + [flag, plain])
+    assert (code, err) == (0, "")
+    assert run(argv + [flag, scientific]) == (0, want, "")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{knob}={scientific}\n")
+    assert run(argv + ["--config", str(cfg)]) == (0, want, "")
+    env = {"TAUSURVEY_" + knob.upper(): scientific}
+    assert run(argv, env=env, monkeypatch=monkeypatch) == (0, want, "")
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e-1", "2.5e0", "ten"])
+def test_fractional_series_order_is_usage_error(text):
+    code, out, err = run(["tau", "--n", "2", "--N", text])
+    assert (code, out) == (2, "")
+    assert "not an integer" in err
+
+
 # ----------------------- each subcommand's own knobs -----------------------
 
 # The knob flags of each subcommand: 47 in all.  It resolves these knobs, and

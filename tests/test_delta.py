@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -15,7 +16,12 @@ from tausurvey.delta import (
     TauTable,
     _cube_series_square,
     _low_digits,
+    _pack,
+    _proven_widths,
+    _repeat,
+    _reslot,
     _square_truncated,
+    _width,
     delta_coefficients,
     jacobi_series,
     tau_parity,
@@ -175,6 +181,124 @@ def test_square_truncated_across_batches(length):
     for max_exp in (length - 1, length // 2, length + 2):
         assert _square_truncated(coeffs, max_exp) == kronecker_square(coeffs, max_exp), max_exp
     assert coeffs == before
+
+
+@pytest.mark.parametrize("N", [4095, 4096, 4097, 8193, 12289])
+def test_build_across_batches_matches_integer_oracle(N):
+    # The re-slot joins pieces of unequal size once the first square is
+    # split; the oracle squares twice over Python ints, at the general width.
+    top = N - 1
+    power = kronecker_square(kronecker_square(_cube_series_square(top), top), top)
+    assert delta_coefficients(N).coeffs == tuple(power)
+
+
+def evaluate_at_ten_power(coeffs, w):
+    """sum c_k 10^(w k) as a Python int, by Horner's rule from the top."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * 10**w + c
+    return value
+
+
+@pytest.mark.parametrize("slots", [1, 2, _PACK_BATCH - 1, _PACK_BATCH, _PACK_BATCH + 1,
+                                   2 * _PACK_BATCH + 1, 3 * _PACK_BATCH + 7])
+def test_reslot_widens_offset_slots(slots):
+    rng = random.Random(slots)
+    w1, w2 = 3, 5
+    half = 10**w1 // 2
+    coeffs = [rng.randrange(-half, half) for _ in range(slots)]
+    coeffs[0], coeffs[-1] = -half, half - 1  # both ends of the slot range
+    # the cut square's form: slots c + H, top slot first
+    cut = Decimal("".join("%03d" % (c + half) for c in reversed(coeffs)))
+    pending = [(cut, slots)]
+    assert _reslot(pending, w1, w2) == evaluate_at_ten_power(coeffs, w2)
+    assert pending == []
+
+
+@pytest.mark.parametrize("at", [0, 1, _PACK_BATCH - 1, _PACK_BATCH, _PACK_BATCH + 1, -1])
+def test_pack_raises_on_a_coefficient_outside_its_slot(at):
+    w = 4
+    half = 10**w // 2
+    coeffs = [(-1) ** k * (k % half) for k in range(2 * _PACK_BATCH + 3)]
+    for fits in (-half, half - 1):
+        coeffs[at] = fits
+        assert _pack(coeffs, w) == evaluate_at_ten_power(coeffs, w)
+    for outside in (half, -half - 1, 10 * half, -(10**w)):
+        coeffs[at] = outside
+        with pytest.raises(OverflowError):
+            _pack(coeffs, w)
+
+
+def test_repeat_matches_string_repeat():
+    for slot in ("5", "50", "0500", "5000000"):
+        for count in list(range(70)) + [4095, 4096, 4097, 12289]:
+            assert _repeat(slot, count) == Decimal(slot * count or "0"), (slot, count)
+
+
+@pytest.fixture(scope="module")
+def table100k():
+    return delta_coefficients(100_000)
+
+
+def divisor_counts(top):
+    counts = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            counts[m] += 1
+    return counts
+
+
+def test_frozen_checksum_100k(table100k):
+    # frozen from the build at general slot widths with borrow and carry passes
+    digest = hashlib.sha256("\n".join(map(str, table100k.coeffs)).encode()).hexdigest()
+    assert digest == "2343f75e9bf14df82f534cf260ddd1a538cec1bc5dd78f76d4a18aac3a45ef04"
+
+
+def test_slot_bounds_hold_on_a_100k_table(table100k):
+    # The two Deligne bounds _proven_widths rests on, in integers, for every
+    # coefficient the two squarings of a 10^5 build read.
+    N = table100k.N
+    d = divisor_counts(2 * N)
+    for n, t in table100k.iter_records():
+        assert t * t <= d[n] ** 2 * n**11, n
+        assert d[n] ** 2 <= 4 * n  # d(n) <= 2 sqrt(n)
+    twelfth = _square_truncated(_cube_series_square(N - 1), N - 1)
+    for k, b in enumerate(twelfth):
+        n = 2 * k + 1
+        assert b * b <= d[n] ** 2 * n**5, k
+    # so every slot read is within B1 = 2 (2N-1)^3 and B2 = 2 N^6
+    assert max(map(abs, twelfth)) <= 2 * (2 * N - 1) ** 3
+    assert max(map(abs, table100k.coeffs)) <= 2 * N**6
+
+
+def general_widths(N, peak):
+    """The widths every slot of the full squares fits: N * peak^2, then N * B1^2."""
+    return _width(N * peak * peak), _width(N * (2 * (2 * N - 1) ** 3) ** 2)
+
+
+def check_proven_widths(orders, top):
+    peaks = list(itertools.accumulate(map(abs, _cube_series_square(top)), max))
+    for N in orders:
+        w1, w2 = _proven_widths(N, peaks[N - 1])
+        general = general_widths(N, peaks[N - 1])
+        assert w1 <= general[0] and w2 <= general[1], N
+        assert w2 == _width(2 * N**6) >= w1, N
+        # the proof sets w1, except at N = 4 where the general width is narrower
+        assert (w1 == _width(2 * (2 * N - 1) ** 3)) == (N != 4), N
+        yield N, (w1, w2), general
+
+
+def test_proven_widths_never_exceed_the_general_width():
+    assert len(list(check_proven_widths(range(1, 2001), 1999))) == 2000
+    found = {N: (w, g) for N, w, g in check_proven_widths([20_000, 100_000], 99_999)}
+    assert found[100_000] == ((17, 31), (19, 38))
+
+
+def test_proven_widths_at_the_series_cap():
+    found = {N: (w, g) for N, w, g in check_proven_widths([1_000_000, 1_500_000], 1_499_999)}
+    # 38 digits put the second operand's square back in 3 * 2^21 words
+    assert found[1_500_000][0] == (21, 38)
+    assert found[1_000_000][0][1] == 37
 
 
 def test_build_peak_memory_within_three_tables():
