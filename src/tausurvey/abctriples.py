@@ -117,9 +117,10 @@ def radical_budgeted(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> tup
          e: divide by h, then take h = gcd(n, h^2).  The rest has no prime
          factor <= TRIAL_FIRST_STAGE, so below TRIAL_FIRST_STAGE^2 it is 1
          or a prime and the radical is complete.
-      3. Staged trial division: a larger rest goes to factor_trial up to
-         TRIAL_LIMIT, whose shared sieve grows past its first stage only for
-         a cofactor that can still have a factor there.
+      3. Staged trial division: a larger rest goes to factor_trial, which
+         tries only the primes past TRIAL_FIRST_STAGE, up to TRIAL_LIMIT;
+         its shared sieve grows stage by stage, only for a cofactor that
+         can still have a factor there.
       4. Rho: remaining composite cofactors go through Brent rho with a
          deterministic RNG seeded by `seed`, spending at most `budget` steps
          of the rho map in total.
@@ -143,7 +144,7 @@ def radical_budgeted(n: int, budget: int = DEFAULT_BUDGET, seed: int = 0) -> tup
         h = math.gcd(n, h * h)
     if n < TRIAL_FIRST_STAGE * TRIAL_FIRST_STAGE:
         return small * n, True
-    exponents, cofactor = factor_trial(n, TRIAL_LIMIT)
+    exponents, cofactor = factor_trial(n, TRIAL_LIMIT, TRIAL_FIRST_STAGE)  # the gcd took the rest
     found = set(exponents)
     stubborn: set[int] = set()
     if cofactor > 1:

@@ -582,12 +582,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = command("tau", "tau(n) or a table export")
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--n", type=int)
-    group.add_argument("--max", type=int, help="export tau(1..max) as records")
+    group.add_argument("--n", type=_big_int)
+    group.add_argument("--max", type=_big_int, help="export tau(1..max) as records")
     sub.add_argument("--square", action="store_true", help="evaluate at n^2")
 
     sub = command("parity", "parity of tau(n) by the odd-square rule")
-    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--n", type=_big_int, required=True)
 
     command("survey", "observed prime values |tau| <= X")
 
@@ -600,9 +600,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--kind", choices=("deg11", "deg22"), required=True)
 
     sub = command("sato-tate", "angle histogram against the sin^2 measure")
-    sub.add_argument("--p-min", dest="p_min", type=int, default=2)
-    sub.add_argument("--p-max", dest="p_max", type=int)
-    sub.add_argument("--u-layer", dest="u_layer", type=int)
+    sub.add_argument("--p-min", dest="p_min", type=_big_int, default=2)
+    sub.add_argument("--p-max", dest="p_max", type=_big_int)
+    sub.add_argument("--u-layer", dest="u_layer", type=_big_int)
     sub.add_argument("--u-threshold", dest="u_threshold", type=_finite_float)
 
     command("predict", "layered heuristic estimates for S(X)")

@@ -17,8 +17,8 @@ loop is needed.
 
 - Slot widths.  Only the low N slots of each square are read, and they
   hold prod^12 and tau, whose sizes Deligne's bound limits; _proven_widths
-  states the proof.  At N = 100k the widths are 17 and 31 digits, where a
-  bound on every slot of the full square needs 19 and 33.
+  states the proof.  The widths follow from N alone, and no coefficient is
+  scanned for them: 17 and 31 digits at N = 100k, 21 and 38 at 1.5M.
 - Offset slots.  A slot holds c + H, with H = 10^w / 2, so every slot is
   w digits in [0, 10^w) whatever the sign of c.  Packing
   subtracts sum_k H 10^(w k) once; after the square, adding it back and
@@ -165,8 +165,9 @@ def _width(bound: int) -> int:
     return len(str(2 * bound))
 
 
-def _proven_widths(N: int, peak: int) -> tuple[int, int]:
-    """Slot widths (w1, w2) of the two squarings of delta_coefficients(N).
+def _proven_widths(N: int) -> tuple[int, int]:
+    """Slot widths (w1, w2) of the two squarings of delta_coefficients(N),
+    from N alone.
 
     Only the low N slots of each square are read, and those hold known
     coefficients with proven bounds:
@@ -180,19 +181,12 @@ def _proven_widths(N: int, peak: int) -> tuple[int, int]:
     With k <= N - 1 the low slots are bounded by B1 = 2 (2N-1)^3 and
     B2 = 2 N^6.  The slots at N and above hold other values, but they add a
     multiple of 10^(N w) to the square, so they cannot reach the low N
-    slots.  B2 >= B1, since N^2 >= 2N - 1, so w2 >= w1.
-
-    The general width bounds every slot of the full square by N * peak^2,
-    where peak is the largest |coefficient| of the operand: of prod^6 (passed
-    in) for squaring 1, and B1 for squaring 2.  It is never the narrower one
-    for squaring 2.  For squaring 1 it is only at N = 4 (3 digits against 4),
-    so w1 is the narrower of the two.
+    slots.  The operands fit as well: prod^12 is read from the w1 slots
+    into w2 >= w1 (B2 >= B1, since N^2 >= 2N - 1), and the q^k coefficient
+    of prod^6 sums (2i+1)(2j+1) <= 4k+1 over the at most k+1 ordered pairs
+    of triangular numbers T_i + T_j = k, so it is within (k+1)(4k+1) <= B1.
     """
-    b1 = 2 * (2 * N - 1) ** 3
-    w1 = min(_width(b1), _width(N * peak * peak))
-    w2 = _width(2 * N**6)
-    assert w2 <= _width(N * b1 * b1), (N, w2)
-    return w1, w2
+    return _width(2 * (2 * N - 1) ** 3), _width(2 * N**6)
 
 
 def _offset_digits(w: int) -> str:
@@ -333,21 +327,6 @@ def _reslot(pending: list[tuple[Decimal, int]], w1: int, w2: int) -> Decimal:
     return _EXACT.subtract(_join(pieces, w2), _repeat(_offset_digits(w1).rjust(w2, "0"), slots))
 
 
-def _square_truncated(coeffs: list[int], max_exp: int) -> list[int]:
-    """Exact square of a signed integer polynomial, truncated to
-    exponents <= max_exp.
-
-    Kronecker substitution in base 10^w, with w wide enough for every slot
-    of the full square: _pack evaluates the polynomial at 10^w, _square_low
-    squares that Decimal and keeps its low slots, and _unpack reads them
-    back.  The caller's list is left as it was.
-    """
-    low = coeffs[: max_exp + 1]  # terms above max_exp cannot reach the result
-    peak = max(map(abs, low), default=0)
-    w = _width(len(low) * peak * peak)
-    return _unpack(_square_low(_pack(low, w), w, max_exp + 1), w)
-
-
 def delta_coefficients(N: int, *, series_max: int = SERIES_MAX_DEFAULT) -> TauTable:
     """Exact tau(1..N): the pairwise square of the cube series, then two
     Kronecker squarings at the widths _proven_widths gives.
@@ -364,7 +343,7 @@ def delta_coefficients(N: int, *, series_max: int = SERIES_MAX_DEFAULT) -> TauTa
     if N > series_max:
         raise ResourceLimitError(f"series order {N} exceeds configured maximum {series_max}")
     power = _cube_series_square(N - 1)  # prod^6, exponents below N
-    w1, w2 = _proven_widths(N, max(map(abs, power)))
+    w1, w2 = _proven_widths(N)
     packed = _pack(power, w1)
     del power
     pending = _square_low(packed, w1, N)  # prod^12

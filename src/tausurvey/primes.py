@@ -263,23 +263,27 @@ def iroot_ceil(n: int, k: int) -> int:
 TRIAL_FIRST_STAGE = 4096
 
 
-def factor_trial(n: int, limit: int) -> tuple[dict[int, int], int]:
-    """Trial-divide n by sieved primes <= limit.
+def factor_trial(n: int, limit: int, above: int = 1) -> tuple[dict[int, int], int]:
+    """Trial-divide n by sieved primes p with above < p <= limit; the caller
+    vouches that no prime <= above divides n.
 
     Returns (exponents of primes found, remaining cofactor).  The cofactor is
     1, a prime > limit, or a composite with no prime factor <= limit.
 
     The primes are taken in stages, so the shared sieve grows only as far as
     a cofactor needs.  The first stage tries the primes up to
-    min(limit, TRIAL_FIRST_STAGE).  When a stage runs out of primes while
-    the cofactor m can still have a factor past its top, the next stage
-    reaches min(limit, isqrt(m), twice that top).
+    min(limit, TRIAL_FIRST_STAGE), or, for above >= TRIAL_FIRST_STAGE, up
+    to min(limit, isqrt(n), 2 * above), as if the stages up to above were
+    done.  When a stage runs out of primes while the cofactor m can still
+    have a factor past its top, the next stage reaches min(limit, isqrt(m),
+    twice that top).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     found: dict[int, int] = {}
     m = n
-    done, top = 1, min(limit, TRIAL_FIRST_STAGE)  # every prime <= done is tried
+    # Every prime <= done is tried, or known not to divide n.
+    done, top = above, min(limit, max(TRIAL_FIRST_STAGE, min(math.isqrt(n), 2 * above)))
     while top > done:
         for p in cached_primes(top, done):
             if p * p > m:

@@ -167,16 +167,22 @@ def abc_output_pair(
     return out.getvalue(), expected.getvalue()
 
 
+def naive_regime(kind: CurveKind, X: int, x: int) -> int:
+    """0, 1 or 2 for an abscissa in the small, mid or sub-unit regime, by
+    exact power comparisons: small is x^11 <= 2X (deg11) or x^22 <= X
+    (deg22), and past the sub-unit cutoff x^11 > X^2 or x^11 > X."""
+    if kind is CurveKind.DEG11:
+        small, subunit = x**11 <= 2 * X, x**11 > X * X
+    else:
+        small, subunit = x**22 <= X, x**11 > X
+    return 0 if small else 2 if subunit else 1
+
+
 def naive_regime_counts(kind: CurveKind, X: int, x_max: int) -> tuple[int, int, int]:
     """(small, mid, subunit) by classifying every oracle point on 1 <= x <= x_max."""
     counts = [0, 0, 0]
     for pt in naive_near_points(kind, X, 1, x_max):
-        if kind.in_small_regime(pt.x, X):
-            counts[0] += 1
-        elif kind.past_subunit_cutoff(pt.x, X):
-            counts[2] += 1
-        else:
-            counts[1] += 1
+        counts[naive_regime(kind, X, pt.x)] += 1
     return tuple(counts)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tausurvey import abctriples
+from tausurvey import abctriples, primes
 from tausurvey.abctriples import (
     DEFAULT_BUDGET,
     TRIAL_LIMIT,
@@ -15,7 +15,7 @@ from tausurvey.abctriples import (
     radical_budgeted,
 )
 from tausurvey.curves import CurveKind, NearPoint
-from tausurvey.primes import factor_trial, is_prime
+from tausurvey.primes import TRIAL_FIRST_STAGE, factor_trial, is_prime
 from tausurvey.selftest import RADICAL_EDGES, abc_output_pair, naive_radical
 
 
@@ -283,6 +283,23 @@ def test_primorial_gcd_on_edge_legs(n, monkeypatch):
         assert reached == paths
         assert got == reference_radical(n, budget)
         assert got == (want, budget > 0 or n not in RHO_EDGES)
+
+
+# Legs past TRIAL_FIRST_STAGE^2 whose primes above TRIAL_FIRST_STAGE all lie
+# within trial division, so factor_trial completes each radical alone.
+TRIAL_LEGS = (
+    4099 * 4111, 4099**3, 2**5 * 4099 * 999_983, 3 * 4127 * 7919 * 999_979,
+    4093**2 * 8191 * 65_537, 999_979 * 999_983, 1_000_000 * 4099**2 * 524_287,
+)
+
+
+@pytest.mark.parametrize("n", TRIAL_LEGS)
+def test_radical_trial_division_starts_past_the_primorial(n, monkeypatch):
+    asked = []  # the `above` of every range of primes factor_trial asks for
+    real = primes.cached_primes
+    monkeypatch.setattr(primes, "cached_primes", lambda top, above=0: asked.append(above) or real(top, above))
+    assert radical_budgeted(n) == (naive_radical(n), True)
+    assert asked and min(asked) >= TRIAL_FIRST_STAGE, asked
 
 
 # ---------------------- abc records, one per mirror pair ----------------------

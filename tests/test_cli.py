@@ -634,6 +634,37 @@ def test_fractional_series_order_is_usage_error(text):
     assert "not an integer" in err
 
 
+# The integer flags that are not knobs: written out and in scientific notation.
+PLAIN_INT_FLAGS = [
+    (["tau", "--max", "100"], ["tau", "--max", "1e2"]),
+    (["tau", "--n", "100", "--N", "200"], ["tau", "--n", "1e2", "--N", "200"]),
+    (["parity", "--n", "100"], ["parity", "--n", "1e2"]),
+    (["sato-tate", "--N", "2000", "--bins", "4", "--p-min", "10", "--p-max", "1000"],
+     ["sato-tate", "--N", "2000", "--bins", "4", "--p-min", "1e1", "--p-max", "1e3"]),
+    (["sato-tate", "--N", "2000", "--bins", "4", "--u-layer", "2", "--u-threshold", "0.5"],
+     ["sato-tate", "--N", "2000", "--bins", "4", "--u-layer", "2e0", "--u-threshold", "0.5"]),
+]
+
+
+@pytest.mark.parametrize("plain, scientific", PLAIN_INT_FLAGS,
+                         ids=["tau-max", "tau-n", "parity-n", "sato-tate-p", "sato-tate-u-layer"])
+def test_integer_flags_read_scientific_notation(plain, scientific):
+    code, want, err = run(plain)
+    assert (code, err) == (0, "")
+    assert run(scientific) == (0, want, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sato-tate", "--N", "100", "--u-layer", "1.5", "--u-threshold", "0.5"],
+    ["tau", "--max", "1e-1"],
+    ["parity", "--n", "2.5"],
+])
+def test_fractional_integer_flag_is_usage_error(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert "not an integer" in err
+
+
 # ----------------------- each subcommand's own knobs -----------------------
 
 # The knob flags of each subcommand: 47 in all.  It resolves these knobs, and

@@ -6,7 +6,7 @@ import pytest
 from tausurvey.cli import dispatch
 from tausurvey.curves import CurveKind, NearPoint, exact_count, near_points
 from tausurvey.errors import ResourceLimitError
-from tausurvey.selftest import naive_near_points, naive_regime_counts
+from tausurvey.selftest import naive_near_points, naive_regime, naive_regime_counts
 
 
 def as_tuples(points):
@@ -120,6 +120,39 @@ def test_exact_count_matches_oracle_by_regime(kind, X):
     # regime boundaries of every X listed
     rep = exact_count(kind, X, 16)
     assert (rep.small, rep.mid, rep.subunit) == naive_regime_counts(kind, X, 16)
+
+
+# X at a regime boundary, where a regime top is an exact root, and X +- 1,
+# each counted two abscissas past the boundary.  An off-by-one top moves an
+# abscissa that holds points into the next regime in at least one X of each
+# triple.  (At X = 9^11 itself the deg11 cutoff abscissa x = 9 holds no point:
+# x^11 is the square of X, and its neighbouring squares are 2X +- 1 away.)
+REGIME_EDGES = [
+    (kind, X, x + 2)
+    for kind, x, top in (
+        (CurveKind.DEG11, 2, 2**10),  # 2X = x^11
+        (CurveKind.DEG11, 9, 3**11),  # X^2 = x^11
+        (CurveKind.DEG22, 1, 1),  # X = x^22
+        (CurveKind.DEG22, 2, 2**22),
+        (CurveKind.DEG22, 2, 2**11),  # X = x^11
+        (CurveKind.DEG22, 3, 3**11),
+    )
+    for X in (top - 1, top, top + 1)
+    if X >= 1
+]
+
+
+@pytest.mark.parametrize("kind, X, x_max", REGIME_EDGES)
+def test_exact_count_at_the_regime_boundaries(kind, X, x_max):
+    rep = exact_count(kind, X, x_max)
+    if kind.band(X) <= 10**4:
+        want = naive_regime_counts(kind, X, x_max)
+    else:  # too wide a band for the defect scan: enumerate, classify naively
+        want = [0, 0, 0]
+        for pt in near_points(kind, X, 1, x_max):
+            want[naive_regime(kind, X, pt.x)] += 1
+        want = tuple(want)
+    assert (rep.small, rep.mid, rep.subunit) == want
 
 
 def test_exact_count_frozen_large_case():

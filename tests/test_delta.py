@@ -20,7 +20,8 @@ from tausurvey.delta import (
     _proven_widths,
     _repeat,
     _reslot,
-    _square_truncated,
+    _square_low,
+    _unpack,
     _width,
     delta_coefficients,
     jacobi_series,
@@ -81,6 +82,14 @@ def schoolbook_square(coeffs, max_exp):
     return out
 
 
+def square_truncated(coeffs, max_exp):
+    """The square up to q^max_exp by _pack, _square_low and _unpack, at the
+    width that bounds every slot of the full square."""
+    low = coeffs[: max_exp + 1]  # terms above max_exp cannot reach the result
+    w = _width(len(low) * max(map(abs, low)) ** 2)
+    return _unpack(_square_low(_pack(low, w), w, max_exp + 1), w)
+
+
 SQUARE_CASES = {
     "constant": [7],
     "negative constant": [-7],
@@ -105,7 +114,7 @@ def test_square_truncated_edge_cases(name):
     coeffs = SQUARE_CASES[name]
     before = list(coeffs)
     for max_exp in range(len(coeffs) + 2):  # below, at and past len - 1
-        assert _square_truncated(coeffs, max_exp) == schoolbook_square(coeffs, max_exp), max_exp
+        assert square_truncated(coeffs, max_exp) == schoolbook_square(coeffs, max_exp), max_exp
         assert coeffs == before  # the caller's list is left as it was
 
 
@@ -116,7 +125,7 @@ def test_square_truncated_edge_cases(name):
 )
 def test_square_truncated_matches_schoolbook_hypothesis(coeffs, max_exp):
     before = list(coeffs)
-    assert _square_truncated(coeffs, max_exp) == schoolbook_square(coeffs, max_exp)
+    assert square_truncated(coeffs, max_exp) == schoolbook_square(coeffs, max_exp)
     assert coeffs == before
 
 
@@ -130,7 +139,7 @@ def test_square_truncated_matches_schoolbook_random():
         if trial % 5 == 0:
             coeffs = [-abs(c) for c in coeffs]
         for max_exp in {len(coeffs) - 1, rng.randrange(len(coeffs))}:
-            got = _square_truncated(coeffs, max_exp)
+            got = square_truncated(coeffs, max_exp)
             assert got == schoolbook_square(coeffs, max_exp), (trial, max_exp)
 
 
@@ -149,7 +158,7 @@ def test_low_digits_matches_string_tail(root, words, offset):
 
 
 def kronecker_square(coeffs, max_exp):
-    """Independent oracle for _square_truncated: Kronecker substitution over
+    """Independent oracle for square_truncated: Kronecker substitution over
     Python ints in base 2^b, balanced digits read back through byte strings."""
     low = coeffs[: max_exp + 1]
     peak = max(map(abs, low))
@@ -179,7 +188,7 @@ def test_square_truncated_across_batches(length):
     coeffs[-1] = -abs(coeffs[-1]) - 1  # a negative top slot leaves a borrow
     before = list(coeffs)
     for max_exp in (length - 1, length // 2, length + 2):
-        assert _square_truncated(coeffs, max_exp) == kronecker_square(coeffs, max_exp), max_exp
+        assert square_truncated(coeffs, max_exp) == kronecker_square(coeffs, max_exp), max_exp
     assert coeffs == before
 
 
@@ -262,7 +271,7 @@ def test_slot_bounds_hold_on_a_100k_table(table100k):
     for n, t in table100k.iter_records():
         assert t * t <= d[n] ** 2 * n**11, n
         assert d[n] ** 2 <= 4 * n  # d(n) <= 2 sqrt(n)
-    twelfth = _square_truncated(_cube_series_square(N - 1), N - 1)
+    twelfth = square_truncated(_cube_series_square(N - 1), N - 1)
     for k, b in enumerate(twelfth):
         n = 2 * k + 1
         assert b * b <= d[n] ** 2 * n**5, k
@@ -271,34 +280,26 @@ def test_slot_bounds_hold_on_a_100k_table(table100k):
     assert max(map(abs, table100k.coeffs)) <= 2 * N**6
 
 
-def general_widths(N, peak):
-    """The widths every slot of the full squares fits: N * peak^2, then N * B1^2."""
-    return _width(N * peak * peak), _width(N * (2 * (2 * N - 1) ** 3) ** 2)
-
-
 def check_proven_widths(orders, top):
     peaks = list(itertools.accumulate(map(abs, _cube_series_square(top)), max))
     for N in orders:
-        w1, w2 = _proven_widths(N, peaks[N - 1])
-        general = general_widths(N, peaks[N - 1])
-        assert w1 <= general[0] and w2 <= general[1], N
-        assert w2 == _width(2 * N**6) >= w1, N
-        # the proof sets w1, except at N = 4 where the general width is narrower
-        assert (w1 == _width(2 * (2 * N - 1) ** 3)) == (N != 4), N
-        yield N, (w1, w2), general
+        w1, w2 = _proven_widths(N)
+        assert w1 == _width(2 * (2 * N - 1) ** 3) and w2 == _width(2 * N**6) >= w1, N
+        assert 2 * peaks[N - 1] < 10**w1, N  # prod^6 fits the first operand's slots
+        yield N, (w1, w2)
 
 
-def test_proven_widths_never_exceed_the_general_width():
+def test_proven_widths_fit_the_first_operand():
     assert len(list(check_proven_widths(range(1, 2001), 1999))) == 2000
-    found = {N: (w, g) for N, w, g in check_proven_widths([20_000, 100_000], 99_999)}
-    assert found[100_000] == ((17, 31), (19, 38))
+    found = dict(check_proven_widths([20_000, 100_000], 99_999))
+    assert found[100_000] == (17, 31)
 
 
 def test_proven_widths_at_the_series_cap():
-    found = {N: (w, g) for N, w, g in check_proven_widths([1_000_000, 1_500_000], 1_499_999)}
+    found = dict(check_proven_widths([1_000_000, 1_500_000], 1_499_999))
     # 38 digits put the second operand's square back in 3 * 2^21 words
-    assert found[1_500_000][0] == (21, 38)
-    assert found[1_000_000][0][1] == 37
+    assert found[1_500_000] == (21, 38)
+    assert found[1_000_000][1] == 37
 
 
 def test_build_peak_memory_within_three_tables():
@@ -334,7 +335,7 @@ def test_cube_series_square_matches_dense_and_naive(naive_sixth_power):
         for e, c in jacobi_series(top):
             dense[e] = c
         sparse = _cube_series_square(top)
-        assert sparse == _square_truncated(dense, top), top
+        assert sparse == square_truncated(dense, top), top
         assert sparse == naive_sixth_power[: top + 1], top
 
 

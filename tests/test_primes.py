@@ -244,6 +244,15 @@ def test_factor_trial_on_edge_squares_and_products(limit):
         assert factor_trial(p * q, limit) == split_at([p, q], limit), (p, q)
 
 
+@pytest.mark.parametrize("above", [3000, TRIAL_FIRST_STAGE, 2 * TRIAL_FIRST_STAGE])
+@pytest.mark.parametrize("limit", [4095, 8191, TRIAL_LIMIT])
+def test_factor_trial_above_a_bound_on_products_past_it(limit, above):
+    # The caller vouches no prime <= above divides n; the answer is unchanged.
+    for p, q in EDGE_PAIRS:
+        if p > above:
+            assert factor_trial(p * q, limit, above) == split_at([p, q], limit), (p, q)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
