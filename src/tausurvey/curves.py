@@ -60,9 +60,6 @@ class NearPoint(NamedTuple):
     y: int
     k: int
 
-    def recomputed_defect(self) -> int:
-        return self.y * self.y - self.kind.central(self.x)
-
 
 class RegimeReport(NamedTuple):
     kind: CurveKind

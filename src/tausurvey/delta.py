@@ -30,9 +30,12 @@ loop is needed.
 
 Packing, re-slotting and unpacking go through one batch of slots at a time
 (joined pairwise on the way in, split by shifts on the way out), so no
-digit string of a whole operand or product is built, and each step drops
-what it no longer needs before the next multiply: the transform's own
-buffers set the build's peak memory.
+digit string of a whole operand or product is built.  Each step drops what
+it no longer needs before the next multiply, and just before it the free
+heap is handed back to the OS (glibc's malloc_trim; a no-op on other C
+libraries).  So the second square's operand and the transform's own
+buffers set the build's peak memory, whatever the process allocated
+before: 127 MiB for a whole process at N = 1M, 183 MiB at 1.5M.
 
 The table is a TauTable, an immutable NamedTuple (N, coeffs): a tuple that
 compares and hashes by value, updated only by _replace, which checks the
@@ -53,20 +56,20 @@ from decimal import (
     Overflow,
     Rounded,
 )
+from functools import cache
 from itertools import islice
 from struct import unpack
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import ResourceLimitError
 from .primes import cached_primes, is_square
 
 # Series builds beyond this order are refused (memory/time guard, checked
 # before any allocation).  Measured build time / peak RSS of a whole process
-# that builds one table (Python 3.11.7, libmpdec 2.5.1, 2-core VM):
-# N = 200k 0.9-1.3 s / 40 MiB, 400k 1.9-2.3 s / 64-65 MiB, 1M 5.2-6.2 s /
-# 155-187 MiB (the peak depends on the heap's layout, through glibc's
-# dynamic mmap threshold), 1.5M 9.1-11.9 s / 226 MiB.  The default covers
-# the m = 1 survey window (3X)^(1/11) <= N up to X of about 2.9e67.
+# that builds one table (Python 3.11.7, libmpdec 2.5.1, glibc 2.36, 2-core
+# VM): N = 200k 0.85 s / 37 MiB, 400k 1.8 s / 58 MiB, 1M 5.0 s / 127 MiB,
+# 1.5M 7.5-10.2 s / 183 MiB.  The default covers the m = 1 survey window
+# (3X)^(1/11) <= N up to X of about 2.9e67.
 SERIES_MAX_DEFAULT = 1_500_000
 
 # Exact integer arithmetic for the Kronecker squarings: unbounded precision,
@@ -260,6 +263,26 @@ def _low_digits(x: Decimal, digits: int) -> Decimal:
     return Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN).shift(x, 0)
 
 
+@cache
+def _malloc_trim() -> Callable[[int], int] | None:
+    """glibc's malloc_trim, whose call with 0 hands the heap's free pages back
+    to the OS; None where ctypes or the symbol is missing (macOS, musl,
+    Windows).
+
+    Looked up once, so ctypes is imported on the first table build and never
+    by importing the CLI.
+    """
+    try:
+        import ctypes
+
+        trim = ctypes.CDLL(None).malloc_trim
+    except (ImportError, OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
 def _square_low(packed: Decimal, w: int, slots: int) -> list[tuple[Decimal, int]]:
     """The low `slots` slots of packed^2 in offset form, as a stack for
     _batches: each w-digit slot reads c + H for the square's coefficient c.
@@ -271,8 +294,15 @@ def _square_low(packed: Decimal, w: int, slots: int) -> list[tuple[Decimal, int]
     sum_k (c_k + H) 10^(w k) with no carry between slots, as long as every
     |c_k| < H.  The square is cut before the offsets are added, so it is
     dropped before they exist.
+
+    The free heap is handed back to the OS just before the multiply: glibc
+    would otherwise keep the pages of the build's freed temporaries
+    resident, and the transform's buffers would land on top of them.
     """
     span = slots * w
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
     low = _low_digits(_EXACT.multiply(packed, packed), span)
     return [(_low_digits(_EXACT.add(low, _repeat(_offset_digits(w), slots)), span), slots)]
 

@@ -874,10 +874,11 @@ def _perfbench_traced_modules():
 
 def test_cli_import_loads_what_the_tracer_wraps_and_no_more():
     loaded = set(ast.literal_eval(
-        _modules_loaded_by_cli_import({"dataclasses", "inspect", "fractions", "tausurvey"})
+        _modules_loaded_by_cli_import({"dataclasses", "inspect", "fractions", "ctypes", "tausurvey"})
     ))
-    # Start-up cost: none of these serves a subcommand; --self-test loads its own.
-    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "tausurvey.selftest"})
+    # Start-up cost: none of these serves a subcommand; --self-test loads its
+    # own, and a table build loads ctypes.
+    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "ctypes", "tausurvey.selftest"})
     # The tracer wraps functions of modules already imported, and the benchmark
     # times satotate's import, so none of these may become a lazy import.
     assert _perfbench_traced_modules() | {"tausurvey.satotate"} <= loaded

@@ -47,7 +47,7 @@ def test_sign_symmetry_and_defect_integrity():
     points = near_points(CurveKind.DEG22, 10 ** 4, 1, 20)
     seen = {(p.x, p.y) for p in points}
     for p in points:
-        assert p.recomputed_defect() == p.k
+        assert p.y * p.y - p.kind.central(p.x) == p.k
         assert 1 <= abs(p.k) <= p.kind.band(10 ** 4)
         if p.y:
             assert (p.x, -p.y) in seen
@@ -185,4 +185,4 @@ def test_exact_count_input_validation():
 
 def test_near_point_is_plain_data():
     pt = NearPoint(CurveKind.DEG11, 3, 421, 94)
-    assert pt.recomputed_defect() == 94
+    assert pt.y * pt.y - pt.kind.central(pt.x) == 94

@@ -1,15 +1,21 @@
 import hashlib
 import itertools
 import math
+import os
 import pickle
+import platform
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, Rounded
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tausurvey import delta
 from tausurvey.delta import (
     _EXACT,
     _PACK_BATCH,
@@ -65,10 +71,16 @@ def test_matches_naive_product_oracle():
     assert list(table.coeffs) == naive_delta_coefficients(500)
 
 
+# frozen from an independent base-2^b Kronecker implementation
+CHECKSUM_10K = "d6180a22882a91fa71063c31d15d30e38617cdef173ec7c1e77a1b96be8dc032"
+
+
+def table_digest(table):
+    return hashlib.sha256("\n".join(map(str, table.coeffs)).encode()).hexdigest()
+
+
 def test_frozen_checksum_10k(table10k):
-    # frozen from an independent base-2^b Kronecker implementation
-    digest = hashlib.sha256("\n".join(map(str, table10k.coeffs)).encode()).hexdigest()
-    assert digest == "d6180a22882a91fa71063c31d15d30e38617cdef173ec7c1e77a1b96be8dc032"
+    assert table_digest(table10k) == CHECKSUM_10K
     assert table10k.tau(10_000) == -482606811957501440000
 
 
@@ -259,8 +271,7 @@ def divisor_counts(top):
 
 def test_frozen_checksum_100k(table100k):
     # frozen from the build at general slot widths with borrow and carry passes
-    digest = hashlib.sha256("\n".join(map(str, table100k.coeffs)).encode()).hexdigest()
-    assert digest == "2343f75e9bf14df82f534cf260ddd1a538cec1bc5dd78f76d4a18aac3a45ef04"
+    assert table_digest(table100k) == "2343f75e9bf14df82f534cf260ddd1a538cec1bc5dd78f76d4a18aac3a45ef04"
 
 
 def test_slot_bounds_hold_on_a_100k_table(table100k):
@@ -312,6 +323,72 @@ def test_build_peak_memory_within_three_tables():
         tracemalloc.stop()
     assert table.N == 20_000
     assert peak <= 3 * kept, (peak, kept)
+
+
+class _RecordingContext(Context):
+    def __init__(self, events):
+        super().__init__(prec=_EXACT.prec, Emax=_EXACT.Emax, Emin=_EXACT.Emin,
+                         traps=[t for t, on in _EXACT.traps.items() if on])
+        self.events = events
+
+    def multiply(self, a, b):
+        self.events.append("multiply")
+        return super().multiply(a, b)
+
+
+def test_heap_is_trimmed_once_before_each_square(monkeypatch):
+    events = []
+    monkeypatch.setattr(delta, "_EXACT", _RecordingContext(events))
+    monkeypatch.setattr(delta, "_malloc_trim", lambda: lambda pad: events.append(("trim", pad)))
+    assert delta_coefficients(5).coeffs == (1, -24, 252, -1472, 4830)
+    assert events == [("trim", 0), "multiply", ("trim", 0), "multiply"]
+
+
+def test_build_without_malloc_trim_matches_frozen_checksum(monkeypatch):
+    # as on a platform without glibc's malloc_trim
+    monkeypatch.setattr(delta, "_malloc_trim", lambda: None)
+    assert table_digest(delta_coefficients(10_000)) == CHECKSUM_10K
+
+
+PEAK_PROBE = """
+from tausurvey.delta import delta_coefficients
+
+def status_kib(field):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))
+
+before = status_kib("VmRSS")
+delta_coefficients({N})
+print(status_kib("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="malloc_trim and /proc/self/status are glibc and Linux only",
+)
+def test_build_peak_is_the_second_square_live_data():
+    # The second square is the build's largest step: its operand of w2 * N
+    # digits (19 to a 64-bit word) and libmpdec's three number-theoretic
+    # transform buffers, each of the transform length n, the least 2^k or
+    # 3 * 2^(k-1) that holds the 2 * words of the square.  The rest is
+    # interpreter slack, about 2 MiB measured.  Without the trim, freed
+    # temporaries of the build stay resident under the transform, and the
+    # same build reads about 26 MiB here (22.5 MiB with it).
+    N = 200_000
+    words = -(-_proven_widths(N)[1] * N // 19)
+    n = 1 << (2 * words - 1).bit_length()
+    if 3 * n // 4 >= 2 * words:
+        n = 3 * n // 4
+    live_mib = 8 * (words + 3 * n) / 2**20
+    assert 20 < live_mib < 21  # 2.6 MiB operand, 3 * 6 MiB of transform
+    src = str(Path(delta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    got = subprocess.run([sys.executable, "-c", PEAK_PROBE.format(N=N)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    peak_mib = int(got.stdout) / 1024
+    assert peak_mib < live_mib + 3.5, (peak_mib, live_mib)
 
 
 NAIVE_TOP = 2000
