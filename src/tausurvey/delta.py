@@ -31,11 +31,12 @@ loop is needed.
 Packing, re-slotting and unpacking go through one batch of slots at a time
 (joined pairwise on the way in, split by shifts on the way out), so no
 digit string of a whole operand or product is built.  Each step drops what
-it no longer needs before the next multiply, and just before it the free
-heap is handed back to the OS (glibc's malloc_trim; a no-op on other C
-libraries).  So the second square's operand and the transform's own
-buffers set the build's peak memory, whatever the process allocated
-before: 127 MiB for a whole process at N = 1M, 183 MiB at 1.5M.
+it no longer needs before the next multiply.  The free heap is handed back
+to the OS just before each multiply and before the unpack (glibc's
+malloc_trim; a no-op on other C libraries), as neither can reuse the pages
+that freed temporaries leave.  So the second square's operand and the
+transform's own buffers set the build's peak memory, whatever the process
+allocated before: 127 MiB for a whole process at N = 1M, 183 MiB at 1.5M.
 
 The table is a TauTable, an immutable NamedTuple (N, coeffs): a tuple that
 compares and hashes by value, updated only by _replace, which checks the
@@ -283,6 +284,13 @@ def _malloc_trim() -> Callable[[int], int] | None:
     return trim
 
 
+def _release_free_heap() -> None:
+    """Hand the heap's free pages back to the OS (see _malloc_trim)."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _square_low(packed: Decimal, w: int, slots: int) -> list[tuple[Decimal, int]]:
     """The low `slots` slots of packed^2 in offset form, as a stack for
     _batches: each w-digit slot reads c + H for the square's coefficient c.
@@ -300,9 +308,7 @@ def _square_low(packed: Decimal, w: int, slots: int) -> list[tuple[Decimal, int]
     resident, and the transform's buffers would land on top of them.
     """
     span = slots * w
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
+    _release_free_heap()
     low = _low_digits(_EXACT.multiply(packed, packed), span)
     return [(_low_digits(_EXACT.add(low, _repeat(_offset_digits(w), slots)), span), slots)]
 
@@ -327,7 +333,13 @@ def _batches(pending: list[tuple[Decimal, int]], w: int) -> Iterator[tuple[str, 
 
 
 def _unpack(pending: list[tuple[Decimal, int]], w: int) -> list[int]:
-    """Signed coefficients c from the offset slots c + H of `pending`."""
+    """Signed coefficients c from the offset slots c + H of `pending`.
+
+    The ints go to Python's small-object arenas, which are mapped apart
+    from the heap, so the free heap (the last transform's buffers) is
+    handed back to the OS first.
+    """
+    _release_free_heap()
     half = 10**w // 2
     coeffs = []
     for digits, slots in _batches(pending, w):

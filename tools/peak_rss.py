@@ -12,10 +12,10 @@ from the child's own wait4 `ru_maxrss`, with every run's figures after them.
 
 A child's `ru_maxrss` starts from the high-water RSS of the process that
 spawns it, so this tool imports nothing it does not need and keeps no child
-output: its own peak (about 10 MiB) stays below any tausurvey process, and
-the figure is the child's.  perfbench's `peak_rss_mb` spawns from the harness,
-whose peak grows with the output it parses, so it cannot show a change below
-that floor.
+output: its own peak (about 15 MiB) stays below that of any tausurvey
+process (21 MiB or more), and the figure is the child's.  perfbench's
+`peak_rss_mb` spawns from the harness, whose peak grows with the output it
+parses, so it cannot show a change below that floor.
 """
 
 from __future__ import annotations
