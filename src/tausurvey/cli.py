@@ -14,10 +14,12 @@ real number instead of an integer, from every source.
 emit is the only serializer: each subcommand builds its records once and
 hands them to emit, which writes JSON lines or CSV rows in chunks of 64 KiB
 of characters, not one write per line (a chunk is written once it reaches
-that size, so it runs past it by at most one line).  survey, report,
-sato-tate and predict write one JSON document, and their CSV holds its flat
-rows; tau --n alone prints a bare integer in either format.  abc lists each
-record at both points of a mirror pair, and emit encodes it once.  Values
+that size, so it runs past it by at most one line).  A CSV row is its cells
+joined by commas, never quoted: no cell holds a comma, a quote or a line
+break, and no row is a single empty cell.  survey, report, sato-tate and
+predict write one JSON document, and their CSV holds its flat rows; tau --n
+alone prints a bare integer in either format.  abc lists each record at
+both points of a mirror pair, and emit encodes it once.  Values
 of tau, primes, y, k, the abc legs and radicals, and X are emitted as
 decimal strings; counts (count's small/mid/subunit/total, report's
 e2_windowed/e4_windowed) are exact JSON integers of any size.  Floats are
@@ -36,8 +38,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import math
 import os
@@ -110,9 +110,9 @@ _TABLE_COMMANDS = ("tau", "survey", "sato-tate", "report")
 
 # The one table of knobs.  Each is a --flag (dashes for underscores) on the
 # subcommands listed, and for those alone a TAUSURVEY_ environment variable
-# and a config-file key, all three read by the same parser.  X and the
-# orders and bounds (N, x_min, x_max, series_max, scan_ceiling) are read by
-# _big_int, so 1e5 is the integer 100000; predict parses X as a real number.
+# and a config-file key, all three read by the same parser.  Every integer
+# knob is read by _big_int, so 1e5 is the integer 100000; predict parses X as
+# a real number.
 _KNOBS = {
     "N": _Knob(_big_int, 10_000, "positive", _positive, _TABLE_COMMANDS, "series truncation order"),
     "X": _Knob(
@@ -123,22 +123,22 @@ _KNOBS = {
     ),
     "x_min": _Knob(_big_int, 1, "positive", _positive, ("near-points", "abc")),
     "x_max": _Knob(_big_int, 10, "positive", _positive, ("near-points", "count", "abc", "report")),
-    "m_max": _Knob(int, 3, "positive", _positive, ("predict",)),
-    "bins": _Knob(int, 8, ">= 2", lambda v: v >= 2, ("sato-tate",)),
+    "m_max": _Knob(_big_int, 3, "positive", _positive, ("predict",)),
+    "bins": _Knob(_big_int, 8, ">= 2", lambda v: v >= 2, ("sato-tate",)),
     "epsilon": _Knob(_finite_float, None, "positive", lambda v: v is None or v > 0, ("abc",)),
     "C": _Knob(_finite_float, 1.0, "positive", lambda v: v > 0, ("abc", "predict")),
     "format": _Knob(str, "json", "json or csv", lambda v: v in ("json", "csv"), help="json or csv"),
-    "seed": _Knob(int, 0, "non-negative", _non_negative, ("abc",)),
+    "seed": _Knob(_big_int, 0, "non-negative", _non_negative, ("abc",)),
     # On every subcommand, though only survey and report run a pool: the
     # output is the same for every value, so any run may pass it (the
     # abc-triples benchmark passes --workers 2 to abc).
     "workers": _Knob(
-        int, survey_mod.usable_cpus(), "positive", _positive,
+        _big_int, survey_mod.usable_cpus(), "positive", _positive,
         help="processes for the survey/report primality tests (default and cap: "
         "the usable CPUs; other subcommands run serially); output is identical "
         "for every value",
     ),
-    "budget": _Knob(int, abctriples.DEFAULT_BUDGET, "non-negative", _non_negative, ("abc",)),
+    "budget": _Knob(_big_int, abctriples.DEFAULT_BUDGET, "non-negative", _non_negative, ("abc",)),
     "series_max": _Knob(_big_int, SERIES_MAX_DEFAULT, "positive", _positive, _TABLE_COMMANDS),
     "scan_ceiling": _Knob(
         _big_int, curves.FULL_SCAN_CEILING, "positive", _positive, ("near-points", "abc")
@@ -229,13 +229,19 @@ def _csv_cell(value: Any) -> str:
 # line, since with PYTHONUNBUFFERED=1 every write is a syscall.
 _CHUNK_CHARS = 64 * 1024
 
+# Made once: json.dumps with separators builds an encoder per record.  Bound
+# at import, it outlives a tracer's swap of this module's json name.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def emit(
     records: list[dict[str, Any]], fieldnames: list[str], fmt: str, out: IO[str], *,
     mirrored: bool = False,
 ) -> None:
     """Write records as JSON lines or CSV with a fixed field order; the one
-    place that serializes stdout.
+    place that serializes stdout.  A CSV row is its cells joined by commas,
+    unquoted: no cell (a decimal string, integer, true/false, .12g float, enum
+    value or empty) holds a comma, a quote or a line break.
 
     Encoded lines are joined and written in chunks: a chunk goes out as soon
     as it holds 64 KiB of characters, so no write is longer than 64 KiB plus
@@ -250,19 +256,12 @@ def emit(
     chunk: list[str] = []
     if fmt == "json":
         def encode(record: dict[str, Any]) -> str:
-            return json.dumps(record, separators=(",", ":")) + "\n"
+            return _encode_json(record) + "\n"
     else:
-        row = io.StringIO()
-        writer = csv.writer(row, lineterminator="\n")
-
         def encode(record: dict[str, Any]) -> str:
-            row.seek(0)
-            row.truncate()
-            writer.writerow([_csv_cell(record[name]) for name in fieldnames])
-            return row.getvalue()
+            return ",".join([_csv_cell(record[name]) for name in fieldnames]) + "\n"
 
-        writer.writerow(fieldnames)
-        chunk.append(row.getvalue())
+        chunk.append(",".join(fieldnames) + "\n")
     if mirrored:
         # Lines by id(record): the list keeps every record alive, so no id is reused.
         pending: dict[int, str] = {}

@@ -601,7 +601,7 @@ def test_scientific_notation_x():
     assert json.loads(out)["X"] == "100"
 
 
-# Each integer knob of an order or bound, written out and in scientific notation.
+# Each integer knob, written out and in scientific notation.
 SCIENTIFIC_KNOBS = [
     (["count", "--kind", "deg11", "--X", "1e3"], "x_max", "100", "1e2"),
     (["near-points", "--kind", "deg11", "--X", "100", "--x-max", "10"], "x_min", "3", "3e0"),
@@ -609,6 +609,11 @@ SCIENTIFIC_KNOBS = [
      "100000000", "1e8"),
     (["tau", "--n", "251", "--square"], "N", "300", "3e2"),
     (["tau", "--max", "5"], "series_max", "1000", "1E3"),
+    (["predict", "--X", "1e22"], "m_max", "3", "3e0"),
+    (["sato-tate", "--N", "2000"], "bins", "10", "1e1"),
+    (["abc", "--kind", "deg11", "--X", "1000", "--x-max", "6"], "seed", "10", "1e1"),
+    (["abc", "--kind", "deg11", "--X", "1000", "--x-max", "6"], "budget", "200000", "2e5"),
+    (["survey", "--X", "1e26", "--N", "300"], "workers", "2", "2e0"),
 ]
 
 
@@ -874,11 +879,15 @@ def _perfbench_traced_modules():
 
 def test_cli_import_loads_what_the_tracer_wraps_and_no_more():
     loaded = set(ast.literal_eval(
-        _modules_loaded_by_cli_import({"dataclasses", "inspect", "fractions", "ctypes", "tausurvey"})
+        _modules_loaded_by_cli_import(
+            {"dataclasses", "inspect", "fractions", "ctypes", "csv", "tausurvey"}
+        )
     ))
     # Start-up cost: none of these serves a subcommand; --self-test loads its
     # own, and a table build loads ctypes.
-    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "ctypes", "tausurvey.selftest"})
+    assert loaded.isdisjoint(
+        {"dataclasses", "inspect", "fractions", "ctypes", "csv", "tausurvey.selftest"}
+    )
     # The tracer wraps functions of modules already imported, and the benchmark
     # times satotate's import, so none of these may become a lazy import.
     assert _perfbench_traced_modules() | {"tausurvey.satotate"} <= loaded
@@ -993,27 +1002,41 @@ def emitted(listing, fmt, **kwargs):
 
 
 @pytest.fixture
-def dumps_calls(monkeypatch):
-    """Swap cli's json for a namespace holding only a counting dumps, as a
-    tracer does; yields the list of records dumped."""
+def encode_calls(monkeypatch):
+    """Count the calls of cli's prebuilt JSON encoder; yields the list of
+    records encoded."""
     calls = []
+    real = cli._encode_json
 
-    def dumps(record, **kwargs):
+    def encode(record):
         calls.append(record)
-        return json.dumps(record, **kwargs)
+        return real(record)
 
-    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=dumps))
+    monkeypatch.setattr(cli, "_encode_json", encode)
     return calls
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_mirrored_emit_of_a_palindromic_run(fmt, dumps_calls):
+def test_mirrored_emit_of_a_palindromic_run(fmt, encode_calls):
     # The order abc lists one abscissa in: y from -Y up to Y, each record at
     # -y and at +y.
     records = [_emit_record(i) for i in range(6)]
     listing = records[::-1] + records
     assert emitted(listing, fmt, mirrored=True) == oracle_bytes(listing, fmt)
-    assert len(dumps_calls) == (6 if fmt == "json" else 0)
+    assert len(encode_calls) == (6 if fmt == "json" else 0)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_with_json_swapped_for_a_dumps_namespace(fmt, monkeypatch):
+    # A tracer replaces cli's json with a namespace that holds only dumps: the
+    # encoder bound at import must go on printing the same bytes.
+    records = [_emit_record(i) for i in range(6)]
+    argv = ["abc", "--kind", "deg11", "--X", "1000", "--x-max", "6", "--epsilon", "0.5",
+            "--format", fmt]
+    want = run(argv)
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=json.dumps))
+    assert emitted(records, fmt) == oracle_bytes(records, fmt)
+    assert run(argv) == want
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -1031,10 +1054,41 @@ def test_emit_matches_oracle_on_any_listing(picks, fmt, mirrored):
     assert emitted(listing, fmt, mirrored=mirrored) == oracle_bytes(listing, fmt)
 
 
-def test_unmirrored_emit_keeps_no_line(dumps_calls):
+def test_unmirrored_emit_keeps_no_line(encode_calls):
     record = _emit_record(1)
     assert emitted([record, record], "json") == oracle_bytes([record, record], "json")
-    assert dumps_calls == [record, record]
+    assert encode_calls == [record, record]
+
+
+# One run of each subcommand that writes CSV, with empty, boolean, float and
+# enum cells among them.
+CSV_RUNS = [
+    ["tau", "--max", "30"],
+    ["parity", "--n", "9"],
+    ["survey", "--X", "1e26", "--N", "300"],
+    ["near-points", "--kind", "deg22", "--X", "10000", "--x-max", "12"],
+    ["count", "--kind", "deg11", "--X", "1000", "--x-max", "20"],
+    ["abc", "--kind", "deg11", "--X", "1000", "--x-max", "6"],
+    ["abc", "--kind", "deg11", "--X", "1000", "--x-max", "6", "--epsilon", "0.5"],
+    ["sato-tate", "--N", "2000", "--bins", "8"],
+    ["predict", "--X", "1e22"],
+    ["report", "--X", "1e6", "--N", "1000", "--x-max", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", CSV_RUNS,
+                         ids=lambda a: a[0] + ("-epsilon" if "--epsilon" in a else ""))
+def test_no_csv_cell_needs_quoting(argv):
+    # emit joins cells with commas; every row splits into as many cells as the
+    # header has, and the standard-library writer, fed them back, writes the
+    # very same bytes.
+    code, out, _ = run(argv + ["--format", "csv"])
+    assert code == 0 and out.count("\n") >= 2
+    rows = [line.split(",") for line in out.splitlines()]
+    assert {len(row) for row in rows} == {len(rows[0])}
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows(rows)
+    assert again.getvalue() == out
 
 
 @pytest.mark.parametrize(
